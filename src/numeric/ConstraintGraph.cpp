@@ -177,13 +177,25 @@ std::vector<std::string> ConstraintGraph::varNames() const {
   return Names;
 }
 
-void ConstraintGraph::removeVar(const std::string &Name) {
-  auto Slot = findVar(Name);
-  if (!Slot)
+void ConstraintGraph::removeVarsIf(
+    const std::function<bool(const std::string &)> &Pred) {
+  std::vector<bool> Drop(Vars.size(), false);
+  bool Any = false;
+  for (unsigned I = 1; I < Vars.size(); ++I) {
+    if (Pred(Syms->name(Vars[I]))) {
+      Drop[I] = true;
+      Any = true;
+    }
+  }
+  if (!Any)
     return;
   close();
-  mutableBlock().M->removeVar(*Slot);
-  Vars.erase(Vars.begin() + *Slot);
+  mutableBlock().M->removeVars(Drop);
+  unsigned Kept = 0;
+  for (unsigned I = 0; I < Vars.size(); ++I)
+    if (!Drop[I])
+      Vars[Kept++] = Vars[I];
+  Vars.resize(Kept);
   // Projection of a closed matrix is closed.
 }
 

@@ -161,9 +161,16 @@ public:
   const SymbolTable &symbols() const { return *Syms; }
   const SymbolTablePtr &symbolsPtr() const { return Syms; }
 
-  /// Removes \p Name after closing, so constraints implied through it
-  /// survive.
-  void removeVar(const std::string &Name);
+  /// Projects out every variable whose name satisfies \p Pred (the zero
+  /// variable is never offered), after closing, so constraints implied
+  /// through them survive. One closure, one detach and one matrix
+  /// compaction per call; survivors keep their order.
+  void removeVarsIf(const std::function<bool(const std::string &)> &Pred);
+
+  /// Removes \p Name; see removeVarsIf.
+  void removeVar(const std::string &Name) {
+    removeVarsIf([&](const std::string &Var) { return Var == Name; });
+  }
 
   /// Renames every variable via \p Rename (must stay injective).
   void renameVars(const std::vector<std::pair<std::string, std::string>>

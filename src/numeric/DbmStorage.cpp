@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 using namespace csdf;
 
@@ -60,46 +61,65 @@ void DenseDbmStorage::resize(unsigned NewN) {
   N = NewN;
 }
 
-void DenseDbmStorage::removeVar(unsigned Victim) {
-  assert(Victim < N && "removing a variable that does not exist");
-  // Compact in place: rows keep their stride, the victim row/column is
-  // squeezed out. Also the one point where the occupancy bitmap is
-  // recomputed exactly, clearing any stale bits.
+void DenseDbmStorage::removeVars(const std::vector<bool> &Drop) {
+  assert(Drop.size() == N && "drop mask must cover every variable");
+  // Kept columns as contiguous runs [first, second), found once and shared
+  // by every row.
+  std::vector<std::pair<unsigned, unsigned>> Runs;
+  unsigned NewN = 0;
+  for (unsigned J = 0; J < N;) {
+    if (Drop[J]) {
+      ++J;
+      continue;
+    }
+    unsigned Begin = J;
+    while (J < N && !Drop[J])
+      ++J;
+    Runs.emplace_back(Begin, J);
+    NewN += J - Begin;
+  }
+  // Compact in place: rows keep their stride, so a surviving row only ever
+  // moves up (never onto a later row) and within a row each run only ever
+  // moves left. The exact occupancy of each compacted row is taken while
+  // the row is hot, clearing any stale bits.
   for (unsigned I = 0, NI = 0; I < N; ++I) {
-    if (I == Victim)
+    if (Drop[I])
       continue;
     const std::int64_t *Src = Data.data() + static_cast<std::size_t>(I) * Cap;
     std::int64_t *Dst = Data.data() + static_cast<std::size_t>(NI) * Cap;
-    for (unsigned J = 0, NJ = 0; J < N; ++J) {
-      if (J == Victim)
-        continue;
-      Dst[NJ] = Src[J];
-      ++NJ;
+    unsigned NJ = 0;
+    for (auto [Begin, End] : Runs) {
+      std::memmove(Dst + NJ, Src + Begin, (End - Begin) * sizeof(std::int64_t));
+      NJ += End - Begin;
     }
+    std::uint8_t Any = 0;
+    for (unsigned J = 0; J < NewN; ++J)
+      Any |= static_cast<std::uint8_t>(J != NI && Dst[J] < DbmInfinity);
+    Occ[NI] = Any;
     ++NI;
   }
-  --N;
+  N = NewN;
   Occ.resize(N);
-  for (unsigned I = 0; I < N; ++I) {
-    const std::int64_t *Row = Data.data() + static_cast<std::size_t>(I) * Cap;
-    std::uint8_t Any = 0;
-    for (unsigned J = 0; J < N; ++J)
-      Any |= static_cast<std::uint8_t>(J != I && Row[J] < DbmInfinity);
-    Occ[I] = Any;
-  }
 }
 
-void MapDbmStorage::removeVar(unsigned Victim) {
-  assert(Victim < N && "removing a variable that does not exist");
+void MapDbmStorage::removeVars(const std::vector<bool> &Drop) {
+  assert(Drop.size() == N && "drop mask must cover every variable");
+  constexpr unsigned Gone = ~0u;
+  std::vector<unsigned> NewIndex(N, Gone);
+  unsigned NewN = 0;
+  for (unsigned I = 0; I < N; ++I)
+    if (!Drop[I])
+      NewIndex[I] = NewN++;
+  // Renumbering is monotone, so surviving keys come out in order and every
+  // insertion lands at the end.
   std::map<std::pair<unsigned, unsigned>, std::int64_t> NewBounds;
   for (const auto &[Key, Bound] : Bounds) {
-    auto [I, J] = Key;
-    if (I == Victim || J == Victim)
-      continue;
-    NewBounds[{I > Victim ? I - 1 : I, J > Victim ? J - 1 : J}] = Bound;
+    unsigned I = NewIndex[Key.first], J = NewIndex[Key.second];
+    if (I != Gone && J != Gone)
+      NewBounds.emplace_hint(NewBounds.end(), std::pair(I, J), Bound);
   }
   Bounds = std::move(NewBounds);
-  --N;
+  N = NewN;
 }
 
 bool CowDbm::detach() {

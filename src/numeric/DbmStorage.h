@@ -64,8 +64,10 @@ public:
   virtual unsigned size() const = 0;
   virtual std::unique_ptr<DbmStorage> clone() const = 0;
 
-  /// Removes variable \p Victim, renumbering later variables down by one.
-  virtual void removeVar(unsigned Victim) = 0;
+  /// Projects out every variable I with \p Drop[I] set (Drop.size() ==
+  /// size()), renumbering the survivors down in their original order. One
+  /// pass over the matrix however many variables go.
+  virtual void removeVars(const std::vector<bool> &Drop) = 0;
 
   /// Approximate heap bytes held by this matrix, for the AnalysisBudget
   /// memory ceiling.
@@ -95,7 +97,8 @@ public:
 /// row has no finite off-diagonal entry; a set bit may be stale (set()
 /// never clears — writing DbmInfinity over a bound leaves the bit set).
 /// Closure preserves it without maintenance because min-plus updates only
-/// ever write finite bounds into rows that already had one.
+/// ever write finite bounds into rows that already had one; removeVars()
+/// recomputes it exactly, clearing any stale bits.
 class DenseDbmStorage final : public DbmStorage {
 public:
   std::int64_t get(unsigned I, unsigned J) const override {
@@ -111,7 +114,7 @@ public:
   std::unique_ptr<DbmStorage> clone() const override {
     return std::make_unique<DenseDbmStorage>(*this);
   }
-  void removeVar(unsigned Victim) override;
+  void removeVars(const std::vector<bool> &Drop) override;
   std::uint64_t byteSize() const override {
     return Data.capacity() * sizeof(std::int64_t) + Occ.capacity();
   }
@@ -162,7 +165,7 @@ public:
   std::unique_ptr<DbmStorage> clone() const override {
     return std::make_unique<MapDbmStorage>(*this);
   }
-  void removeVar(unsigned Victim) override;
+  void removeVars(const std::vector<bool> &Drop) override;
   std::uint64_t byteSize() const override {
     // Per-node estimate: key + value + rb-tree bookkeeping.
     return Bounds.size() * 64;

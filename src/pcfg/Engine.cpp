@@ -23,9 +23,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -96,7 +99,9 @@ struct StepEffects {
     std::map<std::string, std::optional<std::int64_t>> Snapshot;
     BudgetKind FailKind = BudgetKind::None;
     std::string FailReason, FailConfig;
-    PcfgState Sub;
+    /// Submit only: the successor state. Every other kind carries none, so
+    /// logging a match or a print builds no constraint graph.
+    std::optional<PcfgState> Sub;
     std::string SubKey;
     bool SubAtLoopHeader = false;
   };
@@ -125,7 +130,7 @@ struct CommitOutcome {
   std::uint32_t Variant = 0;
   /// Updated only: the stored variant's post-join state, captured after
   /// closure (exactly what the table held after this commit).
-  PcfgState NewState;
+  std::optional<PcfgState> NewState;
 };
 
 /// One worklist position of a recorded exploration: the step's effect log
@@ -314,17 +319,16 @@ private:
     }
 
     // Garbage-collect freeze variables of consumed pendings.
-    std::set<std::string> LiveNs;
+    std::set<std::string, std::less<>> LiveNs;
     for (const PendingSend &P : St.InFlight)
       LiveNs.insert(P.FreezeNs);
-    for (const std::string &Var : St.Cg.varNames()) {
+    St.Cg.removeVarsIf([&](const std::string &Var) {
       size_t Dot = Var.find('.');
-      if (Dot == std::string::npos)
-        continue;
-      std::string Ns = Var.substr(0, Dot);
-      if ((Ns[0] == 'q' || Ns.rfind("tmpq$", 0) == 0) && !LiveNs.count(Ns))
-        St.Cg.removeVar(Var);
-    }
+      if (Dot == std::string::npos || Dot == 0)
+        return false;
+      std::string_view Ns(Var.data(), Dot);
+      return (Ns[0] == 'q' || Ns.rfind("tmpq$", 0) == 0) && !LiveNs.count(Ns);
+    });
 
     St.canonicalize();
   }
@@ -371,11 +375,11 @@ private:
     // A's anchor slots (lo$/ub$) were renamed into NewName by the join
     // but describe A's old extent; drop them before the merged anchors
     // take those names.
-    for (const std::string &Var : St.Cg.varNames()) {
-      if (Var.rfind(NewName + ".", 0) == 0 &&
-          Var.find('$') != std::string::npos)
-        St.Cg.removeVar(Var);
-    }
+    std::string NewPrefix = NewName + ".";
+    St.Cg.removeVarsIf([&](const std::string &Var) {
+      return Var.rfind(NewPrefix, 0) == 0 &&
+             Var.find('$') != std::string::npos;
+    });
     renameNsIn(St.Cg, "mrg$", NewName);
     Anchored = Anchored.withRenamedVars([&](const std::string &Var) {
       if (Var.rfind("mrg$.", 0) == 0)
@@ -391,11 +395,10 @@ private:
 
     // Remove stale namespaces (B's vars survived in CgA, A's in CgB; both
     // partially; clean them).
-    for (const std::string &Var : St.Cg.varNames()) {
-      if (Var.rfind(A.Name + ".", 0) == 0 ||
-          Var.rfind(B.Name + ".", 0) == 0)
-        St.Cg.removeVar(Var);
-    }
+    std::string PrefixA = A.Name + ".", PrefixB = B.Name + ".";
+    St.Cg.removeVarsIf([&](const std::string &Var) {
+      return Var.rfind(PrefixA, 0) == 0 || Var.rfind(PrefixB, 0) == 0;
+    });
 
     // Erase J first (higher index), then replace I.
     St.Sets.erase(St.Sets.begin() + static_cast<long>(J));
@@ -1509,9 +1512,8 @@ private:
 
     // Collect the scratch anchors; relations they mediated are preserved
     // by the closure.
-    for (const std::string &Var : St.Cg.varNames())
-      if (Var.rfind("mt$", 0) == 0)
-        St.Cg.removeVar(Var);
+    St.Cg.removeVarsIf(
+        [](const std::string &Var) { return Var.rfind("mt$", 0) == 0; });
 
     submit(std::move(St));
   }
@@ -2335,7 +2337,7 @@ bool Engine::adoptable(const TraceStep &Rec, const PcfgState &Popped) const {
       return false; // Converged traces carry none; refuse defensively.
     if (It.K == StepEffects::Item::Kind::Submit) {
       ++Submits;
-      if (!stateAdoptable(It.Sub, /*NeedSafe=*/false))
+      if (!stateAdoptable(*It.Sub, /*NeedSafe=*/false))
         return false;
     }
   }
@@ -2343,7 +2345,7 @@ bool Engine::adoptable(const TraceStep &Rec, const PcfgState &Popped) const {
     return false; // Malformed trace (e.g. truncated by a failure).
   for (const CommitOutcome &O : Rec.Outcomes)
     if (O.K == CommitOutcome::Kind::Updated &&
-        !stateAdoptable(O.NewState, /*NeedSafe=*/false))
+        !stateAdoptable(*O.NewState, /*NeedSafe=*/false))
       return false;
   return true;
 }
@@ -2361,10 +2363,10 @@ void Engine::remapTraceStates(TraceStep &T) const {
   };
   for (StepEffects::Item &It : T.Fx.Items)
     if (It.K == StepEffects::Item::Kind::Submit)
-      Remap(It.Sub);
+      Remap(*It.Sub);
   for (CommitOutcome &O : T.Outcomes)
     if (O.K == CommitOutcome::Kind::Updated)
-      Remap(O.NewState);
+      Remap(*O.NewState);
 }
 
 /// Replays one recorded step: applies its effect log exactly like
@@ -2401,7 +2403,7 @@ void Engine::adoptStep(const TraceStep &Rec, WorkItem W) {
       fail(It.FailKind, It.FailReason, std::move(It.FailConfig));
       break;
     case StepEffects::Item::Kind::Submit:
-      applyRecordedSubmission(std::move(It.Sub), It.SubKey,
+      applyRecordedSubmission(std::move(*It.Sub), It.SubKey,
                               Local.Outcomes[NextOutcome++]);
       break;
     }
@@ -2432,7 +2434,7 @@ void Engine::applyRecordedSubmission(PcfgState St, const std::string &Key,
   case CommitOutcome::Kind::Updated: {
     Stored &Entry = Variants[Out.Variant];
     Entry.Visits++;
-    Entry.State = std::move(Out.NewState); // Recorded post-close state.
+    Entry.State = std::move(*Out.NewState); // Recorded post-close state.
     Entry.Stamp++;
     Entry.Stuck.clear();
     push(Cid, Out.Variant);
@@ -2534,7 +2536,7 @@ void Engine::commitEffects(StepEffects &Fx) {
       fail(It.FailKind, It.FailReason, std::move(It.FailConfig));
       break;
     case StepEffects::Item::Kind::Submit:
-      commitSubmission(std::move(It.Sub), It.SubKey, It.SubAtLoopHeader);
+      commitSubmission(std::move(*It.Sub), It.SubKey, It.SubAtLoopHeader);
       break;
     }
   }
@@ -2612,6 +2614,8 @@ void Engine::drainSequential() {
 
 /// A speculative step in flight on the pool.
 struct SpecSlot {
+  explicit SpecSlot(PcfgState Snapshot) : Snapshot(std::move(Snapshot)) {}
+
   std::mutex M;
   std::condition_variable Cv;
   bool Done = false;
@@ -2651,9 +2655,8 @@ void Engine::drainParallel() {
          NextSpec < Hi; ++NextSpec) {
       WorkItem W = Worklist[NextSpec];
       const Stored &E = Configs[W.Config].Variants[W.Variant];
-      auto Slot = std::make_shared<SpecSlot>();
+      auto Slot = std::make_shared<SpecSlot>(E.State); // CoW; blocks closed.
       Slot->Stamp = E.Stamp;
-      Slot->Snapshot = E.State; // CoW; shared blocks are closed.
       Slot->TraceId = static_cast<unsigned>(NextSpec) + 1;
       Specs.emplace(NextSpec, Slot);
       Pool.run([this, Slot, Budget] {
@@ -2824,10 +2827,10 @@ AnalysisResult Engine::run() {
     for (TraceStep &S : Captured->Steps) {
       for (StepEffects::Item &It : S.Fx.Items)
         if (It.K == StepEffects::Item::Kind::Submit)
-          It.Sub.Cg.detachAccounting();
+          It.Sub->Cg.detachAccounting();
       for (CommitOutcome &O : S.Outcomes)
         if (O.K == CommitOutcome::Kind::Updated)
-          O.NewState.Cg.detachAccounting();
+          O.NewState->Cg.detachAccounting();
     }
     Opts.Capture->Trace = std::move(Captured);
   }

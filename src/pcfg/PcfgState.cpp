@@ -82,8 +82,9 @@ void PcfgState::renameSet(size_t Idx, const std::string &NewName) {
 }
 
 void PcfgState::dropSetVars(const ProcSetEntry &Set) {
-  for (const std::string &Var : namespaceVars(Cg, Set.Name))
-    Cg.removeVar(Var);
+  std::string Prefix = Set.Name + ".";
+  Cg.removeVarsIf(
+      [&](const std::string &Var) { return Var.rfind(Prefix, 0) == 0; });
 }
 
 void PcfgState::canonicalize() {

@@ -108,8 +108,9 @@ TEST(RequestOptionsTest, BadSharedFlagValuesFailLoudly) {
     int I = 0;
     api::ArgStatus St = api::parseSharedOption(
         static_cast<int>(Argv.size()), Argv.data(), I, Opts, Error);
-    if (St == api::ArgStatus::Error)
+    if (St == api::ArgStatus::Error) {
       EXPECT_FALSE(Error.empty());
+    }
     return St;
   };
   EXPECT_EQ(Try({"--client", "bogus"}), api::ArgStatus::Error);
@@ -374,8 +375,9 @@ TEST(AnalyzerTest, LintReportsFiltersAndPromotes) {
   Req.Werror = true;
   R = An.lint(Req);
   for (const Diagnostic &D : R.Diagnostics)
-    if (D.Pass == "dead-store")
+    if (D.Pass == "dead-store") {
       EXPECT_EQ(D.Sev, DiagSeverity::Error);
+    }
 
   // min-severity=error without promotion drops it; exit goes clean.
   Req.Werror = false;

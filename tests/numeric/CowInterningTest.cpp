@@ -2,8 +2,8 @@
 //
 // Tests for the interned-variable, copy-on-write numeric core: SymbolTable
 // id stability, CowDbm sharing and detach semantics, closure-memo hits,
-// and property-style checks that removeVar / renameVars / equivalentForms
-// preserve the closed form.
+// and property-style checks that removeVar / removeVarsIf / renameVars /
+// equivalentForms preserve the closed form.
 //
 //===----------------------------------------------------------------------===//
 
@@ -267,6 +267,31 @@ TEST_P(ClosedFormPropertyTest, RemoveVarPreservesRemainingBounds) {
     for (unsigned I = 0; I < 6; ++I) {
       for (unsigned J = 0; J < 6; ++J) {
         if (I == J || I == 2 || J == 2)
+          continue;
+        EXPECT_EQ(G.bestBound(name(I), name(J)),
+                  Before.bestBound(name(I), name(J)))
+            << "seed " << Seed << " pair v" << I << " v" << J;
+      }
+    }
+  }
+}
+
+TEST_P(ClosedFormPropertyTest, RemoveVarsIfPreservesRemainingBounds) {
+  auto Dropped = [](unsigned I) { return I == 1 || I == 2 || I == 4; };
+  for (std::uint64_t Seed = 1; Seed <= 5; ++Seed) {
+    ConstraintGraph G = randomGraph(7, Seed);
+    ASSERT_TRUE(G.isFeasible());
+    ConstraintGraph Before = G;
+    G.removeVarsIf([&](const std::string &Var) {
+      for (unsigned I = 0; I < 7; ++I)
+        if (Dropped(I) && Var == name(I))
+          return true;
+      return false;
+    });
+    for (unsigned I = 0; I < 7; ++I) {
+      EXPECT_EQ(G.hasVar(name(I)), Before.hasVar(name(I)) && !Dropped(I));
+      for (unsigned J = 0; J < 7; ++J) {
+        if (I == J || Dropped(I) || Dropped(J))
           continue;
         EXPECT_EQ(G.bestBound(name(I), name(J)),
                   Before.bestBound(name(I), name(J)))

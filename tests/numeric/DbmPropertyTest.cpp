@@ -177,6 +177,28 @@ TEST_P(DbmPropertyTest, RemoveVarPreservesOtherEntailments) {
   }
 }
 
+TEST_P(DbmPropertyTest, RemoveVarsIfPreservesOtherEntailments) {
+  Rng R(GetParam() + 800);
+  for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
+    for (int Trial = 0; Trial < 20; ++Trial) {
+      ConstraintGraph A = randomGraph(R, 7, 14, Backend);
+      if (!A.isFeasible())
+        continue;
+      ConstraintGraph P = A;
+      P.removeVarsIf([](const std::string &Var) {
+        return Var == varName(1) || Var == varName(3) || Var == varName(4);
+      });
+      for (int X : {0, 2, 5, 6})
+        for (int Y : {0, 2, 5, 6}) {
+          if (X == Y)
+            continue;
+          EXPECT_EQ(A.bestBound(varName(X), varName(Y)),
+                    P.bestBound(varName(X), varName(Y)));
+        }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DbmPropertyTest,
                          ::testing::Values(1, 7, 42, 1234, 987654));
 
