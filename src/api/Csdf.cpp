@@ -416,8 +416,8 @@ BatchReport Analyzer::runBatch(const BatchRequest &Req) {
         if (Opts.TimeoutMs &&
             (SOpts.DeadlineMs == 0 || Opts.TimeoutMs < SOpts.DeadlineMs))
           SOpts.DeadlineMs = Opts.TimeoutMs;
-        // Memo only: concurrent sessions must not interleave their symbol
-        // intern orders, so the table stays per-session here.
+        // Memo only: a SymbolTable is not thread-safe, so the table stays
+        // per-session here.
         SOpts.Analysis.SharedMemo = SharedMemo;
         E.Reason = BatchExitReason::Exited;
         try {

@@ -242,8 +242,8 @@ public:
   /// Runs every file through an isolated session. Fork mode delegates to
   /// the process-per-file driver; threads mode runs sessions on this
   /// Analyzer's pool, sharing its closure memo so closure work amortizes
-  /// across files (symbols stay per-session there: concurrent sessions
-  /// must not interleave their intern orders).
+  /// across files (symbols stay per-session there: a SymbolTable is not
+  /// thread-safe).
   BatchReport runBatch(const BatchRequest &Req);
 
 private:

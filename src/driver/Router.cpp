@@ -164,9 +164,8 @@ bool RouterServer::forwardOnce(const std::string &Backend,
   return Ok;
 }
 
-std::vector<std::string> RouterServer::candidates(
-    const std::string &Key) const {
-  std::vector<std::string> Order = Ring.successors(Key);
+std::vector<std::string>
+RouterServer::healthyFirst(const std::vector<std::string> &Order) const {
   // Healthy shards first, ring order preserved within each class; the
   // unhealthy tail stays as a last resort because a probe can be stale
   // in either direction.
@@ -253,13 +252,9 @@ std::string RouterServer::handleLine(const std::string &Line,
   // never a second spelling of the request.
   std::string Resp;
   bool Answered = false;
-  bool FirstAttempt = true;
-  for (const std::string &Backend : candidates(api::wireRoutingKey(Req))) {
-    if (!FirstAttempt) {
-      std::lock_guard<std::mutex> L(StatsMu);
-      ++Stats.Failovers;
-    }
-    FirstAttempt = false;
+  bool Primary = false;
+  std::vector<std::string> Order = Ring.successors(api::wireRoutingKey(Req));
+  for (const std::string &Backend : healthyFirst(Order)) {
     if (!forwardOnce(Backend, Line, Resp)) {
       // Demote immediately — the probe will promote it back when it
       // accepts connections again.
@@ -280,6 +275,7 @@ std::string RouterServer::handleLine(const std::string &Line,
       Resp.insert(Resp.size() - 1,
                   ",\"shard\":\"" + jsonEscape(Backend) + "\"");
     Answered = true;
+    Primary = Backend == Order.front();
     break;
   }
   admitRelease(Req.Tenant);
@@ -287,6 +283,11 @@ std::string RouterServer::handleLine(const std::string &Line,
   if (Answered) {
     std::lock_guard<std::mutex> L(StatsMu);
     ++Stats.Forwarded;
+    // Counted by who answered, not by how many tries it took: a shard the
+    // health probe already demoted is skipped without a failed forward,
+    // and that request still left its primary.
+    if (!Primary)
+      ++Stats.Failovers;
     return Resp;
   }
   {

@@ -83,7 +83,8 @@ struct RouterStats {
   std::uint64_t Requests = 0;
   /// Requests answered by a shard (possibly after failover).
   std::uint64_t Forwarded = 0;
-  /// Attempts that moved past a dead or overloaded shard to a successor.
+  /// Forwarded requests answered by a shard other than the key's ring
+  /// primary (it was down, demoted by the health probe, or shedding).
   std::uint64_t Failovers = 0;
   /// Requests shed by per-tenant admission control.
   std::uint64_t TenantSheds = 0;
@@ -129,9 +130,11 @@ private:
   bool forwardOnce(const std::string &Backend, const std::string &Line,
                    std::string &Response);
 
-  /// The candidate shards for \p Key: ring successors, healthy first
-  /// (unhealthy ones are kept as a last resort — a probe may be stale).
-  std::vector<std::string> candidates(const std::string &Key) const;
+  /// \p Order (a key's ring successors) reordered healthy first, ring
+  /// order kept within each class (unhealthy ones are kept as a last
+  /// resort — a probe may be stale).
+  std::vector<std::string>
+  healthyFirst(const std::vector<std::string> &Order) const;
 
   RouterOptions Opts;
   HashRing Ring;

@@ -74,13 +74,37 @@ bool kernel::closeAfterEdgeRef(DbmStorage &M, unsigned I, unsigned J) {
 
 namespace {
 
+/// Clamps Row[Lo, Hi) into [-DbmInfinity, DbmInfinity] in place, so that
+/// minPlusRow can add any entry to a bound in that range without
+/// overflow: no such sum leaves +-2 * DbmInfinity. The clamp changes no
+/// addition's result, because dbmAdd already reads an entry below
+/// -DbmInfinity as -DbmInfinity and one at or above DbmInfinity as
+/// unconstrained. Out-of-range entries come only from relaxation around a
+/// negative cycle (an infeasible system, whose contents nobody reads) or
+/// from a caller storing such a bound. An in-range row, the engine's only
+/// kind, costs one read-only vectorized pass; clamping inside the
+/// min-plus loop instead would cost a third or more per entry.
+inline void clampRow(std::int64_t *Row, unsigned Lo, unsigned Hi) {
+  std::int64_t Min = 0, Max = 0;
+  for (unsigned J = Lo; J < Hi; ++J) {
+    Min = Row[J] < Min ? Row[J] : Min;
+    Max = Row[J] > Max ? Row[J] : Max;
+  }
+  if (Min >= -DbmInfinity && Max <= DbmInfinity)
+    return;
+  for (unsigned J = Lo; J < Hi; ++J)
+    Row[J] = std::clamp(Row[J], -DbmInfinity, DbmInfinity);
+}
+
 /// Branchless saturating min-plus over one row segment:
 ///   RowI[j] = min(RowI[j], BIK (+) RowK[j])   for j in [Lo, Hi)
-/// where (+) is dbmAdd with BIK known finite. The select on
-/// RowK[j] >= DbmInfinity reproduces dbmAdd's absorbing infinity exactly
-/// (a plain add would let a negative BIK pull infinity back into the
-/// finite range). Compare/select/min are all lane-wise ops, so with
-/// restrict-qualified pointers the loop auto-vectorizes.
+/// where (+) is dbmAdd with BIK known finite. RowK[Lo, Hi) must have been
+/// through clampRow, and BIK is clamped to -DbmInfinity here, so the add
+/// cannot overflow. The select on RowK[j] >= DbmInfinity reproduces
+/// dbmAdd's absorbing infinity exactly (a plain add would let a negative
+/// BIK pull infinity back into the finite range). Compare/select/min are
+/// all lane-wise ops, so with restrict-qualified pointers the loop
+/// auto-vectorizes.
 ///
 /// Callers must guarantee RowI != RowK: every call site either skips the
 /// aliasing iteration (it is provably a no-op on feasible systems) or
@@ -88,6 +112,7 @@ namespace {
 inline void minPlusRow(std::int64_t *__restrict RowI,
                        const std::int64_t *__restrict RowK, std::int64_t BIK,
                        unsigned Lo, unsigned Hi) {
+  BIK = BIK < -DbmInfinity ? -DbmInfinity : BIK;
   for (unsigned J = Lo; J < Hi; ++J) { // CSDF-VEC-ANCHOR
     std::int64_t KJ = RowK[J];
     std::int64_t T = BIK + KJ;
@@ -112,13 +137,20 @@ inline void minPlusRow(std::int64_t *__restrict RowI,
 /// occupancy bitmap taken at entry stays valid throughout. I == K is
 /// skipped because A[k][k] = 0 on feasible systems makes it a no-op, and
 /// it is the one pairing where RowI would alias RowK.
+///
+/// Each row K segment goes through clampRow before rows relax against it
+/// (row K is not written while K is fixed, since I == K is skipped),
+/// unless \p KRowsClamped says the caller already clamped the whole rows
+/// [KLo, KHi) once they were final.
 void panel(std::int64_t *M, std::size_t Stride, const std::uint8_t *Occ,
            unsigned KLo, unsigned KHi, unsigned ILo, unsigned IHi,
-           unsigned JLo, unsigned JHi) {
+           unsigned JLo, unsigned JHi, bool KRowsClamped = false) {
   for (unsigned K = KLo; K < KHi; ++K) {
     if (!Occ[K])
       continue;
-    const std::int64_t *RowK = M + static_cast<std::size_t>(K) * Stride;
+    std::int64_t *RowK = M + static_cast<std::size_t>(K) * Stride;
+    if (!KRowsClamped)
+      clampRow(RowK, JLo, JHi);
     for (unsigned I = ILo; I < IHi; ++I) {
       if (I == K || !Occ[I])
         continue;
@@ -151,10 +183,17 @@ bool kernel::fullCloseDense(DenseDbmStorage &D) {
     for (unsigned JB = 0; JB < N; JB += T)
       if (JB != KB)
         panel(M, Stride, Occ, KB, KE, KB, KE, JB, std::min(JB + T, N));
+    // The tile's rows are final from here on (phases 3 and 4 write only
+    // rows outside it), so they are clamped once, not once per tile that
+    // relaxes against them.
+    for (unsigned K = KB; K < KE; ++K)
+      if (Occ[K])
+        clampRow(M + static_cast<std::size_t>(K) * Stride, 0, N);
     // Phase 3: column panels (diagonal tile is the B operand).
     for (unsigned IB = 0; IB < N; IB += T)
       if (IB != KB)
-        panel(M, Stride, Occ, KB, KE, IB, std::min(IB + T, N), KB, KE);
+        panel(M, Stride, Occ, KB, KE, IB, std::min(IB + T, N), KB, KE,
+              /*KRowsClamped=*/true);
     // Phase 4: remainder tiles (row/column panels are the operands).
     for (unsigned IB = 0; IB < N; IB += T) {
       if (IB == KB)
@@ -162,7 +201,8 @@ bool kernel::fullCloseDense(DenseDbmStorage &D) {
       const unsigned IE = std::min(IB + T, N);
       for (unsigned JB = 0; JB < N; JB += T)
         if (JB != KB)
-          panel(M, Stride, Occ, KB, KE, IB, IE, JB, std::min(JB + T, N));
+          panel(M, Stride, Occ, KB, KE, IB, IE, JB, std::min(JB + T, N),
+                /*KRowsClamped=*/true);
     }
   }
 
@@ -178,11 +218,11 @@ bool kernel::closeAfterEdgeDense(DenseDbmStorage &D, unsigned I, unsigned J) {
   const std::size_t Stride = D.rowStride();
   const std::uint8_t *Occ = D.rowOccupancy();
 
-  const std::int64_t *RowJ = M + static_cast<std::size_t>(J) * Stride;
+  std::int64_t *RowJ = M + static_cast<std::size_t>(J) * Stride;
   std::int64_t C = M[static_cast<std::size_t>(I) * Stride + J];
-  std::int64_t JI = RowJ[I];
-  if (JI < DbmInfinity && C < DbmInfinity && JI + C < 0)
+  if (dbmAdd(RowJ[I], C) < 0)
     return false;
+  clampRow(RowJ, 0, N); // Row J is never written below.
 
   for (unsigned A = 0; A < N; ++A) {
     // Row A only improves through a finite A->I bound, so unoccupied rows
@@ -194,7 +234,7 @@ bool kernel::closeAfterEdgeDense(DenseDbmStorage &D, unsigned I, unsigned J) {
     std::int64_t AI = RowA[I];
     if (AI >= DbmInfinity)
       continue;
-    std::int64_t AIC = AI + C;
+    std::int64_t AIC = dbmAdd(AI, C);
     if (AIC >= DbmInfinity)
       continue; // dbmAdd saturates: nothing can improve through it.
     minPlusRow(RowA, RowJ, AIC, 0, N);

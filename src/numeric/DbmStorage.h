@@ -44,10 +44,15 @@ class DenseDbmStorage;
 inline constexpr std::int64_t DbmInfinity =
     std::numeric_limits<std::int64_t>::max() / 4;
 
-/// Saturating addition treating DbmInfinity as absorbing.
+/// Saturating addition treating DbmInfinity as absorbing. Operands below
+/// -DbmInfinity (reachable only by repeated relaxation around a negative
+/// cycle, i.e. on an infeasible system) are clamped to it first, so the
+/// sum stays within +-2 * DbmInfinity and can never overflow.
 inline std::int64_t dbmAdd(std::int64_t A, std::int64_t B) {
   if (A >= DbmInfinity || B >= DbmInfinity)
     return DbmInfinity;
+  A = A < -DbmInfinity ? -DbmInfinity : A;
+  B = B < -DbmInfinity ? -DbmInfinity : B;
   return A + B;
 }
 

@@ -6,41 +6,19 @@
 
 #include "numeric/SymbolTable.h"
 
-#include <stdexcept>
-
 using namespace csdf;
 
-SymbolTable::~SymbolTable() {
-  for (auto &Slot : Chunks)
-    delete Slot.load(std::memory_order_relaxed);
-}
-
 VarId SymbolTable::intern(const std::string &Name) {
-  std::lock_guard<std::mutex> L(M);
   auto It = IdsByName.find(Name);
   if (It != IdsByName.end())
     return It->second;
-  std::size_t N = Count.load(std::memory_order_relaxed);
-  std::size_t Slot = N >> ChunkBits;
-  if (Slot >= SpineSize)
-    throw std::length_error("SymbolTable: too many interned names");
-  Chunk *C = Chunks[Slot].load(std::memory_order_relaxed);
-  if (!C) {
-    C = new Chunk();
-    Chunks[Slot].store(C, std::memory_order_release);
-  }
-  VarId Id = static_cast<VarId>(N);
-  (*C)[N & (ChunkSize - 1)] = Name;
-  // The release store publishes the written name to lock-free name()
-  // readers in other threads, who learned the id through a synchronized
-  // channel (the intern mutex or the engine's commit ordering).
-  Count.store(N + 1, std::memory_order_release);
+  VarId Id = static_cast<VarId>(Names.size());
+  Names.push_back(Name);
   IdsByName.emplace(Name, Id);
   return Id;
 }
 
 std::optional<VarId> SymbolTable::lookup(const std::string &Name) const {
-  std::lock_guard<std::mutex> L(M);
   auto It = IdsByName.find(Name);
   if (It == IdsByName.end())
     return std::nullopt;

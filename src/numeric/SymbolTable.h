@@ -16,24 +16,21 @@
 ///
 /// Ids are append-only: interning never invalidates previously handed-out
 /// VarIds, which is what lets long-lived analysis states cache them.
+/// Names live in a deque, so a reference returned by name() also stays
+/// valid across later intern() calls (ConstraintGraph::renameVars holds
+/// one while interning).
 ///
-/// The table is thread-safe so the engine's parallel drain (and the batch
-/// threads mode) can share one instance: intern()/lookup() serialize on a
-/// mutex, while name() — the hot read on comparison paths — is lock-free.
-/// Names live in fixed-size chunks that are never moved once published, so
-/// a reference returned by name() stays valid for the table's lifetime no
-/// matter how many names are interned afterwards.
+/// The table is not thread-safe. An analysis run is single-threaded, and
+/// concurrent runs (batch threads mode) each intern into their own table.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSDF_NUMERIC_SYMBOLTABLE_H
 #define CSDF_NUMERIC_SYMBOLTABLE_H
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -50,7 +47,6 @@ inline constexpr VarId InvalidVarId = static_cast<VarId>(-1);
 class SymbolTable {
 public:
   SymbolTable() = default;
-  ~SymbolTable();
 
   SymbolTable(const SymbolTable &) = delete;
   SymbolTable &operator=(const SymbolTable &) = delete;
@@ -61,30 +57,15 @@ public:
   /// Returns the id of \p Name if it was ever interned.
   std::optional<VarId> lookup(const std::string &Name) const;
 
-  /// The name behind \p Id. Lock-free: \p Id must have been obtained from
-  /// this table, which establishes the happens-before edge to the chunk
-  /// publication.
-  const std::string &name(VarId Id) const {
-    const Chunk *C =
-        Chunks[Id >> ChunkBits].load(std::memory_order_acquire);
-    return (*C)[Id & (ChunkSize - 1)];
-  }
+  /// The name behind \p Id, which must have been obtained from this table.
+  const std::string &name(VarId Id) const { return Names[Id]; }
 
   /// Number of interned names.
-  std::size_t size() const { return Count.load(std::memory_order_acquire); }
+  std::size_t size() const { return Names.size(); }
 
 private:
-  /// 512 names per chunk; the spine supports 2^21 names, far beyond any
-  /// program the analyzer meets (stress corpus peaks in the thousands).
-  static constexpr unsigned ChunkBits = 9;
-  static constexpr std::size_t ChunkSize = std::size_t(1) << ChunkBits;
-  static constexpr std::size_t SpineSize = 4096;
-  using Chunk = std::array<std::string, ChunkSize>;
-
-  mutable std::mutex M;
+  std::deque<std::string> Names;
   std::unordered_map<std::string, VarId> IdsByName;
-  std::array<std::atomic<Chunk *>, SpineSize> Chunks{};
-  std::atomic<std::size_t> Count{0};
 };
 
 /// Tables are shared per analysis run.

@@ -15,10 +15,8 @@
 #include "support/Budget.h"
 #include "support/Casting.h"
 #include "support/ErrorHandling.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -77,17 +74,16 @@ std::string AnalysisOutcome::str() const {
 
 namespace csdf {
 
-/// The buffered outcome of speculatively stepping one state.
+/// The buffered outcome of stepping one state.
 ///
-/// The engine's parallel drain lets worker threads *compute* steps ahead
-/// of time, but only a single coordinator *commits* their outcomes, in
-/// the exact order the sequential drain would have produced them. A
-/// Stepper therefore never touches the engine's result, configuration
-/// table, or worklist: every mutation it would have performed is logged
-/// here as an ordered item and replayed verbatim at commit time. The log
-/// preserves the sequential interleaving of result mutations exactly —
-/// including mutations that preceded an exception (Error carries it; the
-/// committer applies the partial log, then rethrows).
+/// A Stepper never touches the engine's result, configuration table, or
+/// worklist: every mutation it would perform is logged here as an ordered
+/// item and applied verbatim by the engine's commit. Keeping the log as a
+/// value is what lets the incremental pipeline record a step once and
+/// replay it later without re-running the transfer functions. The log
+/// preserves the interleaving of result mutations exactly — including
+/// mutations that preceded an exception (Error carries it; the committer
+/// applies the partial log, then rethrows).
 struct StepEffects {
   struct Item {
     enum class Kind { Match, Print, TagConflict, Leak, Snapshot, Fail, Submit };
@@ -161,11 +157,10 @@ struct SplitPiece {
   CfgNodeId Node = 0;
 };
 
-/// One speculative step of the pCFG exploration: all transfer functions,
-/// matching, and normalization, reading a private state snapshot and
-/// writing a StepEffects log. Steppers are cheap, single-use and
-/// thread-confined; shared inputs (Cfg, options, loop info, assigned-var
-/// set) are immutable during a drain.
+/// One step of the pCFG exploration: all transfer functions, matching,
+/// and normalization, reading the popped state and writing a StepEffects
+/// log. Steppers are cheap and single-use; their inputs (Cfg, options,
+/// loop info, assigned-var set) are immutable during a drain.
 class Stepper {
 public:
   Stepper(const Cfg &Graph, const AnalysisOptions &Opts, const LoopInfo &Loops,
@@ -531,10 +526,9 @@ private:
       if (Loops.isInLoop(Set.Node))
         AtLoopHeader = true;
 
-    // Close the constraint graph now, on the speculating thread: stored
-    // states must be closed before another worker may snapshot them (the
-    // closed-shared-block invariant), and doing it here keeps the O(n^3)
-    // closure cost out of the coordinator's serialized commit path.
+    // Close the constraint graph before logging the state: the committer
+    // stores it as is, and a recorded trace replays exactly this closed
+    // form.
     St.Cg.close();
 
     StepEffects::Item It;
@@ -2017,12 +2011,10 @@ std::string nodeSignature(const Cfg &G, const LoopInfo &Loops,
   return S;
 }
 
-/// The analysis coordinator: owns the configuration table, the worklist
-/// and the AnalysisResult, and is the only mutator of all three. Steps
-/// are computed by Steppers — inline (sequential drain) or speculatively
-/// on a thread pool (parallel drain) — and their effect logs are
-/// committed in strict worklist order, which makes the result
-/// bit-identical at every thread count.
+/// The pCFG engine proper: owns the configuration table, the worklist and
+/// the AnalysisResult, and is the only mutator of all three. Each popped
+/// state is stepped by a Stepper and its effect log committed before the
+/// next pop, in worklist order.
 class Engine {
 public:
   Engine(const Cfg &Graph, const AnalysisOptions &Opts, StatsRegistry *Stats)
@@ -2053,9 +2045,6 @@ private:
     /// Worklist dedup: set while a (config, variant) entry is pending, so
     /// repeated submissions re-step it once instead of once per update.
     bool InWorklist = false;
-    /// Bumped on every committed update of State. A speculative step
-    /// whose snapshot carries an older stamp is stale and is dropped.
-    std::uint64_t Stamp = 0;
   };
 
   /// One pCFG configuration: its key and its unjoinable state variants.
@@ -2114,7 +2103,6 @@ private:
   void commitEffects(StepEffects &Fx);
   StepEffects computeStep(const PcfgState &Cur, unsigned TraceId) const;
   void drainSequential();
-  void drainParallel();
   void explore();
   void finish();
 
@@ -2179,10 +2167,8 @@ private:
 };
 
 /// Validates the seed (if any) and prepares capture. Runs once, from the
-/// constructor, after AssignedVars/WaitPlans are computed. Replay and
-/// capture force the sequential drain: results are bit-identical at any
-/// thread count, so pinning Threads=1 is semantics-neutral, and it keeps
-/// the trace's step<->position correspondence trivial.
+/// constructor, after AssignedVars/WaitPlans are computed. Worklist
+/// position i is trace step i in both directions.
 void Engine::setupReplay() {
   // Limit-bounded runs neither replay nor capture: a deadline makes the
   // exploration prefix nondeterministic, which is exactly what a trace
@@ -2191,8 +2177,6 @@ void Engine::setupReplay() {
     Opts.Capture.reset();
   if (Opts.Capture)
     Captured = std::make_shared<AnalysisTrace>();
-  if (Opts.Seed || Captured)
-    Opts.Threads = 1;
   if (!Opts.Seed)
     return;
 
@@ -2435,7 +2419,6 @@ void Engine::applyRecordedSubmission(PcfgState St, const std::string &Key,
     Stored &Entry = Variants[Out.Variant];
     Entry.Visits++;
     Entry.State = std::move(*Out.NewState); // Recorded post-close state.
-    Entry.Stamp++;
     Entry.Stuck.clear();
     push(Cid, Out.Variant);
     return;
@@ -2485,10 +2468,9 @@ void Engine::commitSubmission(PcfgState St, const std::string &Key,
       std::fprintf(stderr, "submit: %s variant %zu updated (%s)\n",
                    Key.c_str(), V, Widen ? "widen" : "join");
     Entry.State = std::move(Acc);
-    // Close before the state becomes visible to speculating workers
-    // (closed-shared-block invariant; see DESIGN.md).
+    // Stored variants are kept closed, and a recorded Updated outcome
+    // carries this post-close state so replay installs the same matrix.
     Entry.State.Cg.close();
-    Entry.Stamp++; // Invalidates speculation snapshotted from the old state.
     Entry.Stuck.clear(); // Superseded; the variant will be re-stepped.
     push(Cid, V);
     if (Recording) {
@@ -2561,9 +2543,8 @@ StepEffects Engine::computeStep(const PcfgState &Cur, unsigned TraceId) const {
   return Fx;
 }
 
-/// The classic Figure 4 drain: compute and commit one step at a time.
-/// Also the only drain that replays and captures: worklist position i
-/// corresponds to trace step i in both directions.
+/// The classic Figure 4 drain: compute and commit one step at a time,
+/// replaying or capturing the trace as it goes.
 void Engine::drainSequential() {
   while (Head < Worklist.size() && !ToppedOut) {
     budgetCheckpoint();
@@ -2612,100 +2593,6 @@ void Engine::drainSequential() {
   }
 }
 
-/// A speculative step in flight on the pool.
-struct SpecSlot {
-  explicit SpecSlot(PcfgState Snapshot) : Snapshot(std::move(Snapshot)) {}
-
-  std::mutex M;
-  std::condition_variable Cv;
-  bool Done = false;
-  StepEffects Fx;
-  /// Stamp of the stored state when the snapshot was taken.
-  std::uint64_t Stamp = 0;
-  /// Private copy-on-write snapshot of the stored state.
-  PcfgState Snapshot;
-  unsigned TraceId = 0;
-};
-
-/// The parallel drain: workers step a bounded window of upcoming worklist
-/// entries speculatively; the coordinator commits strictly at Head. A
-/// committed update bumps the variant's stamp, so speculation computed
-/// from the superseded state is detected and re-run inline — dropped
-/// without waiting, since the task only reads its private snapshot and
-/// thread-safe shared structures. Commit order equals sequential order,
-/// so the result is bit-identical to Threads=1 by construction.
-void Engine::drainParallel() {
-  ThreadPool Pool(Opts.Threads);
-  std::unordered_map<std::size_t, std::shared_ptr<SpecSlot>> Specs;
-  const std::size_t Window = static_cast<std::size_t>(Opts.Threads) * 2;
-  std::size_t NextSpec = 0;
-  AnalysisBudget *Budget = Opts.Budget;
-
-  while (Head < Worklist.size() && !ToppedOut) {
-    budgetCheckpoint();
-    if (Result.StatesExplored >= Opts.MaxStates) {
-      fail(BudgetKind::States, "state budget exceeded");
-      break;
-    }
-
-    // Keep a bounded window of speculative steps in flight.
-    if (NextSpec < Head)
-      NextSpec = Head;
-    for (std::size_t Hi = std::min(Worklist.size(), Head + Window);
-         NextSpec < Hi; ++NextSpec) {
-      WorkItem W = Worklist[NextSpec];
-      const Stored &E = Configs[W.Config].Variants[W.Variant];
-      auto Slot = std::make_shared<SpecSlot>(E.State); // CoW; blocks closed.
-      Slot->Stamp = E.Stamp;
-      Slot->TraceId = static_cast<unsigned>(NextSpec) + 1;
-      Specs.emplace(NextSpec, Slot);
-      Pool.run([this, Slot, Budget] {
-        // Thread-local context does not cross into pool threads: install
-        // the run's budget and recoverable-error regime here.
-        BudgetScope Budgets(Budget);
-        RecoveryScope Recover;
-        StepEffects Fx = computeStep(Slot->Snapshot, Slot->TraceId);
-        {
-          std::lock_guard<std::mutex> L(Slot->M);
-          Slot->Fx = std::move(Fx);
-          Slot->Done = true;
-        }
-        Slot->Cv.notify_all();
-      });
-    }
-
-    WorkItem W = Worklist[Head];
-    std::size_t Pos = Head++;
-    Configs[W.Config].Variants[W.Variant].InWorklist = false;
-    CurrentConfig = Configs[W.Config].Key;
-    Result.StatesExplored++;
-    StepsTotal++;
-    StepsLive++; // Replay/capture force Threads=1; this drain is all-live.
-
-    StepEffects Fx;
-    bool UsedSpeculation = false;
-    if (auto It = Specs.find(Pos); It != Specs.end()) {
-      std::shared_ptr<SpecSlot> Slot = std::move(It->second);
-      Specs.erase(It);
-      if (Slot->Stamp == Configs[W.Config].Variants[W.Variant].Stamp) {
-        std::unique_lock<std::mutex> L(Slot->M);
-        Slot->Cv.wait(L, [&] { return Slot->Done; });
-        Fx = std::move(Slot->Fx);
-        UsedSpeculation = true;
-      }
-      // Stale: the stored state changed after the snapshot was taken;
-      // drop the speculation (no need to wait for it) and re-step inline.
-    }
-    if (!UsedSpeculation)
-      Fx = computeStep(Configs[W.Config].Variants[W.Variant].State,
-                       static_cast<unsigned>(Pos) + 1);
-    commitEffects(Fx);
-    Configs[W.Config].Variants[W.Variant].Stuck = std::move(Fx.StuckBugs);
-  }
-  // Pool dtor joins tasks still running (their shared SpecSlots keep all
-  // referenced state alive) and discards queued-but-unstarted ones.
-}
-
 /// Seeds the initial state and drains the worklist (the Figure 4 loop).
 /// Throws BudgetExceeded/EngineError; run() owns recovery.
 void Engine::explore() {
@@ -2717,8 +2604,9 @@ void Engine::explore() {
   Init.Sets.push_back(std::move(All));
   // One intern table and one closure memo serve the whole run: every state
   // is a (copy-on-write) descendant of Init, so all constraint graphs the
-  // engine ever touches share them. Batch threads mode pre-shares both
-  // across runs to amortize closure work (see AnalysisOptions).
+  // engine ever touches share them. The facade pre-shares its warm table
+  // across runs, and batch threads mode shares one memo across sessions
+  // to amortize closure work (see AnalysisOptions).
   Init.Cg = ConstraintGraph(Opts.Backend, Stats,
                             Opts.SharedSymbols ? Opts.SharedSymbols
                                                : std::make_shared<SymbolTable>(),
@@ -2744,10 +2632,7 @@ void Engine::explore() {
     commitEffects(Fx);
   }
 
-  if (Opts.Threads > 1)
-    drainParallel();
-  else
-    drainSequential();
+  drainSequential();
 }
 
 /// Post-exploration verdicting: stuck-variant sweep, bug stamping,

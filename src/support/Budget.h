@@ -136,12 +136,11 @@ private:
 
   std::chrono::steady_clock::time_point Start{};
   bool Started = false;
-  /// The counters below are shared by every thread the budget governs —
-  /// the engine's parallel drain installs one session budget on all pool
-  /// workers via BudgetScope. All of them are heuristics or monotone
-  /// accumulators, so relaxed ordering is enough: no other data is
-  /// published through them, and a poll that reads a slightly stale value
-  /// only delays a trip by one sampling interval.
+  /// A budget governs one session and is polled from the thread running
+  /// it; concurrent batch sessions each own one. The counters are relaxed
+  /// atomics, which cost a plain add on that single-writer path. All of
+  /// them are heuristics or monotone accumulators, and no other data is
+  /// published through them.
   std::atomic<std::uint32_t> PollsSinceClockRead{0};
   std::atomic<std::uint64_t> LiveBytes{0};
   std::atomic<std::uint64_t> PeakBytes{0};

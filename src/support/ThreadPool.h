@@ -5,25 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A fixed-size worker pool with a sharded ready-queue and work stealing,
-/// shared by the two parallel layers of the system (Section IX(5),
-/// "pCFG-based analyses are naturally parallelizable"):
-///
-///   * the pCFG engine's in-engine parallel drain (AnalysisOptions::Threads
-///     speculative step tasks, committed in deterministic order), and
-///   * the in-process `csdf batch` threads mode (whole analysis sessions
-///     as tasks, sharing one cross-session ClosureMemo).
+/// A fixed-size worker pool with a sharded ready-queue and work stealing.
+/// Its one user is the in-process `csdf batch` threads mode
+/// (api::Analyzer::runBatch), which runs whole analysis sessions as tasks
+/// sharing one cross-session ClosureMemo. That is the granularity where
+/// parallelism pays (Section IX(5)); single pCFG steps cost microseconds,
+/// too little to hand to a pool.
 ///
 /// Each worker owns one deque shard; submissions are distributed
 /// round-robin and an idle worker steals from the back of other shards, so
 /// a burst of slow tasks on one shard cannot starve the rest. The pool is
 /// deliberately policy-free: tasks are plain closures, and every
-/// determinism or isolation concern (budget scopes, recovery scopes,
-/// ordered commits) belongs to the caller.
+/// isolation concern (budget scopes, recovery scopes) belongs to the
+/// caller.
 ///
 /// Thread-local context does NOT propagate onto workers: a task that needs
-/// the caller's AnalysisBudget must install it itself with BudgetScope
-/// (see Engine's worker tasks and Batch's threads mode).
+/// an AnalysisBudget must install it itself with BudgetScope (every batch
+/// session installs its own budget when it starts).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -64,7 +64,7 @@ struct TempDir {
 
 TEST(RequestOptionsTest, SharedFlagsParseEverywhereTheSame) {
   const char *Argv[] = {"--client",        "linear", "--fixed-np", "6",
-                        "--param",         "rows=3", "--threads",  "2",
+                        "--param",         "rows=3",
                         "--max-states",    "500",    "--deadline-ms", "250",
                         "--max-memory-mb", "64",     "--prover-steps", "9000",
                         "--test-hooks",    "--no-match-nondet"};
@@ -79,7 +79,6 @@ TEST(RequestOptionsTest, SharedFlagsParseEverywhereTheSame) {
   EXPECT_EQ(Opts.Client, "linear");
   EXPECT_EQ(Opts.FixedNp, 6);
   EXPECT_EQ(Opts.Params.at("rows"), 3);
-  EXPECT_EQ(Opts.Threads, 2u);
   EXPECT_EQ(Opts.MaxStates, 500u);
   EXPECT_EQ(Opts.DeadlineMs, 250u);
   EXPECT_EQ(Opts.MaxMemoryMb, 64u);
@@ -91,7 +90,6 @@ TEST(RequestOptionsTest, SharedFlagsParseEverywhereTheSame) {
   AnalysisOptions An = Opts.analysis();
   EXPECT_FALSE(An.CheckMatchNondet);
   EXPECT_EQ(An.FixedNp, 6);
-  EXPECT_EQ(An.Threads, 2u);
   EXPECT_EQ(An.MaxStates, 500u);
   EXPECT_EQ(An.Params.at("rows"), 3);
   SessionOptions S = Opts.session();
@@ -119,8 +117,6 @@ TEST(RequestOptionsTest, BadSharedFlagValuesFailLoudly) {
   EXPECT_EQ(Try({"--fixed-np", "-3"}), api::ArgStatus::Error);
   EXPECT_EQ(Try({"--param", "noequals"}), api::ArgStatus::Error);
   EXPECT_EQ(Try({"--param", "=5"}), api::ArgStatus::Error);
-  EXPECT_EQ(Try({"--threads", "0"}), api::ArgStatus::Error);
-  EXPECT_EQ(Try({"--threads", "4096"}), api::ArgStatus::Error);
   EXPECT_EQ(Try({"--max-states", "x"}), api::ArgStatus::Error);
   EXPECT_EQ(Try({"--deadline-ms", "-1"}), api::ArgStatus::Error);
   // Non-shared flags are left for the caller's own table.
@@ -132,7 +128,7 @@ TEST(RequestOptionsTest, JsonSpellingMatchesFlagSpelling) {
   JsonValue Json;
   std::string Error;
   ASSERT_TRUE(parseJson("{\"client\": \"sectionx\", \"fixed_np\": 4, "
-                        "\"params\": {\"rows\": 2}, \"threads\": 3, "
+                        "\"params\": {\"rows\": 2}, "
                         "\"max_states\": 10, \"deadline_ms\": 100, "
                         "\"max_memory_mb\": 32, \"prover_steps\": 7, "
                         "\"test_hooks\": true, "
@@ -144,7 +140,6 @@ TEST(RequestOptionsTest, JsonSpellingMatchesFlagSpelling) {
   EXPECT_EQ(Opts.Client, "sectionx");
   EXPECT_EQ(Opts.FixedNp, 4);
   EXPECT_EQ(Opts.Params.at("rows"), 2);
-  EXPECT_EQ(Opts.Threads, 3u);
   EXPECT_EQ(Opts.MaxStates, 10u);
   EXPECT_EQ(Opts.DeadlineMs, 100u);
   EXPECT_EQ(Opts.MaxMemoryMb, 32u);
@@ -184,7 +179,6 @@ TEST(RequestOptionsTest, OptionsToJsonRoundTripsThroughFromJson) {
     ASSERT_TRUE(api::optionsFromJson(Json, Back, Error)) << Text << ": "
                                                          << Error;
     EXPECT_EQ(Back.fingerprint(), Opts.fingerprint()) << Text;
-    EXPECT_EQ(Back.Threads, Opts.Threads) << Text;
   };
   RoundTrips(api::RequestOptions());
 
@@ -193,7 +187,6 @@ TEST(RequestOptionsTest, OptionsToJsonRoundTripsThroughFromJson) {
   Full.FixedNp = 4;
   Full.Params["rows"] = 2;
   Full.Params["cols"] = 3;
-  Full.Threads = 3;
   Full.MaxStates = 10;
   Full.DeadlineMs = 100;
   Full.MaxMemoryMb = 32;
@@ -228,12 +221,64 @@ TEST(RequestOptionsTest, FingerprintSeparatesSemanticallyDifferentRequests) {
   // Detector toggles must key the serve cache: a cached result computed
   // with the check on would otherwise be replayed after it is turned off.
   Differs([](api::RequestOptions &O) { O.CheckMatchNondet = false; });
+}
 
-  // Threads is excluded by design: results are bit-identical at any
-  // worker count, so a cache hit across thread counts is correct.
-  api::RequestOptions Threaded;
-  Threaded.Threads = 8;
-  EXPECT_EQ(Threaded.fingerprint(), F);
+TEST(RequestOptionsTest, FingerprintStringsArePinned) {
+  // Store, memo and routing keys are built from these strings; a change
+  // here orphans every persisted serve store entry and memo snapshot.
+  EXPECT_EQ(api::RequestOptions().fingerprint(),
+            "client=cartesian;lin=1;hsm=1;sends=1;minp=4;np=0;var=96;"
+            "infl=8;sets=12;widen=2;states=20000;backend=0;agg=0;nondet=1;"
+            "params={};deadline=0;mem=0;steps=0;hooks=0");
+
+  api::RequestOptions Full;
+  Full.Client = "sectionx";
+  Full.FixedNp = 4;
+  Full.Params["rows"] = 2;
+  Full.Params["cols"] = 3;
+  Full.MaxStates = 10;
+  Full.DeadlineMs = 100;
+  Full.MaxMemoryMb = 32;
+  Full.ProverSteps = 7;
+  Full.TestHooks = true;
+  Full.CheckMatchNondet = false;
+  EXPECT_EQ(Full.fingerprint(),
+            "client=sectionx;lin=1;hsm=1;sends=1;minp=4;np=4;var=96;infl=8;"
+            "sets=12;widen=2;states=10;backend=0;agg=1;nondet=0;"
+            "params={cols=3,rows=2,};deadline=100;mem=32;steps=7;hooks=1");
+}
+
+TEST(RequestOptionsTest, RetiredThreadsOptionIsNoLongerAFlag) {
+  const char *Argv[] = {"--threads", "4"};
+  api::RequestOptions Opts;
+  std::string Error;
+  int I = 0;
+  EXPECT_EQ(api::parseSharedOption(2, Argv, I, Opts, Error),
+            api::ArgStatus::NotMine);
+  EXPECT_EQ(I, 0);
+}
+
+TEST(RequestOptionsTest, RetiredThreadsJsonMemberIsValidatedAndIgnored) {
+  // Older clients still send "threads"; a valid value changes nothing,
+  // a malformed one still fails the request.
+  auto Parse = [](const char *Text, api::RequestOptions &Out,
+                  std::string &Error) {
+    JsonValue Json;
+    EXPECT_TRUE(parseJson(Text, Json, Error)) << Error;
+    return api::optionsFromJson(Json, Out, Error);
+  };
+  api::RequestOptions Plain, Threaded;
+  std::string Error;
+  ASSERT_TRUE(Parse("{}", Plain, Error)) << Error;
+  ASSERT_TRUE(Parse("{\"threads\":4}", Threaded, Error)) << Error;
+  EXPECT_EQ(Threaded.fingerprint(), Plain.fingerprint());
+
+  for (const char *Bad : {"{\"threads\":0}", "{\"threads\":1025}"}) {
+    api::RequestOptions O;
+    Error.clear();
+    EXPECT_FALSE(Parse(Bad, O, Error)) << Bad;
+    EXPECT_FALSE(Error.empty()) << Bad;
+  }
 }
 
 //===--------------------------------------------------------------------===//

@@ -182,7 +182,6 @@ TEST(WireTest, RandomizedOptionsRoundTripFingerprintIdentity) {
     RequestOptions O;
     O.Client = Clients[Rng() % 3];
     O.FixedNp = static_cast<std::int64_t>(Rng() % 64);
-    O.Threads = 1 + static_cast<unsigned>(Rng() % 8);
     O.MaxStates = static_cast<unsigned>(Rng() % 100000);
     O.DeadlineMs = Rng() % 5000;
     O.MaxMemoryMb = Rng() % 4096;

@@ -267,6 +267,28 @@ TEST(RouterTest, FailsOverPastADeadShard) {
   EXPECT_EQ(Router.healthyCount(), 1u);
 }
 
+TEST(RouterTest, SkippingADemotedPrimaryCountsAsFailover) {
+  // The health probe can demote a killed shard before any request fails
+  // against it; requests then skip it without a failed forward. The
+  // failover counter must not depend on which of the two came first.
+  StubShard Primary(shardPath("ha"), StubShard::Mode::Ok);
+  StubShard Successor(shardPath("hb"), StubShard::Mode::Ok);
+  ASSERT_TRUE(Primary.start() && Successor.start());
+  RouterOptions Opts = optionsFor({Primary.Path, Successor.Path});
+  RouterServer Router(Opts);
+  Router.setHealthy(Primary.Path, false);
+
+  std::string Line = requestOwnedBy(Opts, Primary.Path);
+  bool Shutdown = false;
+  JsonValue V = parsed(Router.handleLine(Line, Shutdown));
+  EXPECT_TRUE(V.get("ok")->asBool());
+  EXPECT_EQ(V.get("shard")->asString(), Successor.Path);
+  EXPECT_TRUE(Primary.received().empty());
+  RouterStats Stats = Router.statsSnapshot();
+  EXPECT_EQ(Stats.Forwarded, 1u);
+  EXPECT_EQ(Stats.Failovers, 1u);
+}
+
 TEST(RouterTest, FailsOverPastAConnectionDrop) {
   StubShard Dropper(shardPath("ga"), StubShard::Mode::Drop);
   StubShard Alive(shardPath("gb"), StubShard::Mode::Ok);

@@ -19,7 +19,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -170,6 +172,87 @@ TEST(ClosureKernelTest, SaturationAtInfinityEdges) {
     ASSERT_TRUE(kernel::fullCloseDense(Closed));
     for (std::int64_t V : contents(Closed))
       EXPECT_LE(V, DbmInfinity);
+  }
+}
+
+/// Matrix with random entries drawn from \p Pool (4N off-diagonal sets).
+DenseDbmStorage poolMatrix(std::mt19937 &Rng, unsigned N,
+                           const std::vector<std::int64_t> &Pool) {
+  DenseDbmStorage M = makeDense(N);
+  std::uniform_int_distribution<unsigned> Var(0, N - 1);
+  std::uniform_int_distribution<std::size_t> Pick(0, Pool.size() - 1);
+  for (unsigned E = 0; E < 4 * N; ++E) {
+    unsigned I = Var(Rng), J = Var(Rng);
+    if (I != J)
+      M.set(I, J, Pool[Pick(Rng)]);
+  }
+  return M;
+}
+
+TEST(ClosureKernelTest, EntriesAboveInfinityReadAsUnconstrained) {
+  // A caller may store a bound above DbmInfinity; both kernels must read
+  // it as unconstrained. Contents agree once such entries are spelled
+  // DbmInfinity (the reference rewrites one when a finite path improves
+  // it; the flat kernel's clamp or occupancy skip may leave or rewrite
+  // it first).
+  auto Normalized = [](const DbmStorage &M) {
+    std::vector<std::int64_t> V = contents(M);
+    for (std::int64_t &X : V)
+      X = std::min(X, DbmInfinity);
+    return V;
+  };
+  std::mt19937 Rng(2024);
+  const std::vector<std::int64_t> Pool = {
+      5, 40, DbmInfinity - 1, 2 * DbmInfinity,
+      std::numeric_limits<std::int64_t>::max()};
+  for (unsigned N : {kernel::ClosureTile + 1, 64u}) {
+    DenseDbmStorage Flat = poolMatrix(Rng, N, Pool);
+    auto Ref = Flat.clone();
+    ASSERT_TRUE(kernel::fullCloseDense(Flat));
+    ASSERT_TRUE(kernel::fullCloseRef(*Ref));
+    EXPECT_EQ(Normalized(Flat), Normalized(*Ref));
+  }
+}
+
+TEST(ClosureKernelTest, OutOfRangeEntriesNeverWrap) {
+  // Entries far below -DbmInfinity (what relaxation around a negative
+  // cycle accumulates, or what a caller may store) must be clamped before
+  // any addition, never wrapped: every entry a kernel writes stays within
+  // +-2 * DbmInfinity. Under UBSan an unclamped add here is also a
+  // signed-overflow report.
+  const std::int64_t Min = std::numeric_limits<std::int64_t>::min();
+  const std::vector<std::int64_t> Pool = {
+      -7, 5, -2 * DbmInfinity, Min / 2, Min, DbmInfinity - 1,
+      std::numeric_limits<std::int64_t>::max()};
+  auto ExpectNoWrap = [](const DbmStorage &Before, const DbmStorage &After) {
+    std::vector<std::int64_t> B = contents(Before), A = contents(After);
+    for (std::size_t X = 0; X < A.size(); ++X)
+      if (A[X] != B[X]) {
+        EXPECT_GE(A[X], -2 * DbmInfinity);
+        EXPECT_LE(A[X], 2 * DbmInfinity);
+      }
+  };
+  std::mt19937 Rng(4711);
+  for (unsigned N : {kernel::ClosureTile + 1, 64u}) {
+    for (int Round = 0; Round < 4; ++Round) {
+      DenseDbmStorage M = poolMatrix(Rng, N, Pool);
+      DenseDbmStorage Flat = M;
+      auto Ref = M.clone();
+      kernel::fullCloseDense(Flat);
+      kernel::fullCloseRef(*Ref);
+      ExpectNoWrap(M, Flat);
+      ExpectNoWrap(M, *Ref);
+
+      // Incremental repair through an out-of-range edge.
+      unsigned I = Round % N, J = (Round + 1) % N;
+      M.set(I, J, Min / 2);
+      DenseDbmStorage FlatEdge = M;
+      auto RefEdge = M.clone();
+      kernel::closeAfterEdgeDense(FlatEdge, I, J);
+      kernel::closeAfterEdgeRef(*RefEdge, I, J);
+      ExpectNoWrap(M, FlatEdge);
+      ExpectNoWrap(M, *RefEdge);
+    }
   }
 }
 

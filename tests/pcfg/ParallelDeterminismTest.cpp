@@ -1,28 +1,33 @@
-//===- tests/pcfg/ParallelDeterminismTest.cpp - Threaded drain determinism -===//
+//===- tests/pcfg/ParallelDeterminismTest.cpp - Session determinism ------===//
 //
-// The parallel drain's headline guarantee: for any program and any client
-// preset, `AnalysisOptions::Threads = N` produces a bit-identical
-// AnalysisResult for every N. Workers only speculate on step outcomes; the
-// coordinator commits them in the sequential worklist order, so the
-// exploration — state counts included — must be indistinguishable from the
-// classic single-threaded drain. This sweep serializes the *entire* result
-// (matches, facts, bugs, snapshots, verdict, and exploration statistics)
-// and compares it across thread counts over the whole corpus, including
-// the intentionally buggy programs and a Top-driving one.
+// The engine drain is sequential; parallelism lives one level up, where
+// `csdf batch --mode threads` runs whole analysis sessions on a ThreadPool
+// that share one cross-session ClosureMemo (api::Analyzer::runBatch). The
+// guarantee this sweep pins: a session's AnalysisResult is bit-identical
+// whether it runs alone with a private memo or alongside N concurrent
+// sessions over one shared memo, for every program and client preset.
+// It serializes the *entire* result (matches, facts, bugs, snapshots,
+// verdict, and exploration statistics), so state that leaks between
+// concurrent sessions (the shared memo, process-wide counters) shows up
+// as a diff rather than only as a changed verdict. It sweeps the whole
+// corpus, including the intentionally buggy programs and a Top-driving one.
 //
-// Runs without budgets on purpose: under a budget, stale speculative tasks
-// consume deadline/prover polls that the sequential drain would not, so
-// budget-triggered degradation points may differ (see DESIGN.md).
+// Runs without budgets: under a deadline, sessions competing for cores
+// may degrade at different points, which says nothing about determinism.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cfg/CfgBuilder.h"
 #include "lang/Corpus.h"
 #include "lang/Parser.h"
+#include "numeric/ConstraintGraph.h"
 #include "pcfg/Engine.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +101,26 @@ std::vector<corpus::NamedProgram> sweepPrograms() {
   return Progs;
 }
 
+/// Runs \p Sessions analyses of \p Graph at once on a pool of that many
+/// workers, each with its own SymbolTable and all sharing \p Memo, the way
+/// batch threads mode runs files, and returns their fingerprints.
+std::vector<std::string> concurrentFingerprints(
+    const Cfg &Graph, const AnalysisOptions &Base, unsigned Sessions,
+    const std::shared_ptr<ClosureMemo> &Memo) {
+  ThreadPool Pool(Sessions);
+  std::vector<std::future<std::string>> Done;
+  for (unsigned I = 0; I < Sessions; ++I)
+    Done.push_back(Pool.submit([&Graph, &Base, &Memo] {
+      AnalysisOptions Opts = Base;
+      Opts.SharedMemo = Memo;
+      return fingerprint(analyzeProgram(Graph, Opts));
+    }));
+  std::vector<std::string> Out;
+  for (std::future<std::string> &F : Done)
+    Out.push_back(F.get());
+  return Out;
+}
+
 class ParallelDeterminism
     : public ::testing::TestWithParam<corpus::NamedProgram> {};
 
@@ -105,17 +130,16 @@ TEST_P(ParallelDeterminism, IdenticalResultAtAnyThreadCount) {
   Cfg Graph = buildCfg(P);
 
   for (const PresetCase &Preset : presets()) {
-    AnalysisOptions Base = Preset.Opts;
-    Base.Threads = 1;
-    std::string Sequential = fingerprint(analyzeProgram(Graph, Base));
+    std::string Alone = fingerprint(analyzeProgram(Graph, Preset.Opts));
 
     for (unsigned Threads : {2u, 4u, 8u}) {
-      AnalysisOptions Opts = Preset.Opts;
-      Opts.Threads = Threads;
-      std::string Parallel = fingerprint(analyzeProgram(Graph, Opts));
-      EXPECT_EQ(Sequential, Parallel)
-          << Prog.Name << " preset=" << Preset.Name
-          << " diverges at threads=" << Threads;
+      auto Memo = std::make_shared<ClosureMemo>(/*CrossSession=*/true);
+      std::vector<std::string> Parallel =
+          concurrentFingerprints(Graph, Preset.Opts, Threads, Memo);
+      for (unsigned I = 0; I < Parallel.size(); ++I)
+        EXPECT_EQ(Alone, Parallel[I])
+            << Prog.Name << " preset=" << Preset.Name << " session " << I
+            << " of " << Threads << " concurrent sessions diverges";
     }
   }
 }
@@ -130,19 +154,20 @@ INSTANTIATE_TEST_SUITE_P(Corpus, ParallelDeterminism,
                            return Name;
                          });
 
-// Repeated parallel runs of the same analysis must agree with each other,
-// not just with the sequential baseline — catches scheduling-dependent
-// flakiness that a single lucky run would hide.
+// Repeated rounds of concurrent sessions over one memo that outlives every
+// round must keep agreeing with a lone run, the way a warm analyzer's
+// batches do; this catches scheduling-dependent flakiness that a single
+// lucky round would hide.
 TEST(ParallelDeterminismTest, RepeatedRunsAreStable) {
   Program P = parseProgramOrDie(corpus::exchangeWithRoot());
   Cfg Graph = buildCfg(P);
   AnalysisOptions Opts = AnalysisOptions::cartesian();
-  Opts.Threads = 4;
+  auto Memo = std::make_shared<ClosureMemo>(/*CrossSession=*/true);
 
   std::string First = fingerprint(analyzeProgram(Graph, Opts));
   for (int I = 0; I < 5; ++I)
-    EXPECT_EQ(First, fingerprint(analyzeProgram(Graph, Opts)))
-        << "run " << I;
+    for (const std::string &Run : concurrentFingerprints(Graph, Opts, 4, Memo))
+      EXPECT_EQ(First, Run) << "round " << I;
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 //===- tests/support/ThreadPoolTest.cpp - Worker pool tests ----------------===//
 //
-// The shared worker pool under both parallel layers (the engine's
-// speculative step tasks and batch threads mode). The contract under test:
+// The worker pool under batch threads mode. The contract under test:
 // every submitted task runs exactly once, results and exceptions flow
 // through futures, a slow task on one shard cannot starve the others
 // (work stealing), and destruction joins running tasks.
