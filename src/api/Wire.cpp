@@ -134,6 +134,17 @@ bool csdf::api::parseWireRequest(const std::string &Line,
                   "unknown request field '" + Key + "'");
     }
   }
+
+  // The request shape last, once every member is known to be well typed.
+  bool NeedsInput = Req.Type == "analyze" || Req.Type == "lint";
+  if (Req.Type.empty())
+    return Fail(Req.IdJson, "invalid-request", "request has no type");
+  if (!NeedsInput && Req.Type != "stats" && Req.Type != "shutdown")
+    return Fail(Req.IdJson, "invalid-request",
+                "unknown request type '" + Req.Type + "'");
+  if (NeedsInput && !Req.Source && Req.Path == "<request>")
+    return Fail(Req.IdJson, "invalid-request",
+                Req.Type + " needs a path or a source");
   return true;
 }
 

@@ -103,11 +103,12 @@ std::string wireError(const std::string &IdJson, const char *Code,
 std::string wireOverloaded(unsigned RetryAfterMs);
 
 /// Parses one request line into \p Req (seeded from \p Defaults).
-/// Enforces the \p MaxBytes size cap, the JSON-object shape, per-member
-/// types, and the protocol version, in that order. On failure returns
-/// false with \p ErrorLine set to the complete structured error response
-/// — the caller writes it verbatim, so serve and router reject identical
-/// garbage with identical bytes.
+/// Enforces the \p MaxBytes size cap, the JSON-object shape, the protocol
+/// version, per-member types, and the request shape (a known "type";
+/// analyze and lint name a "path" or carry a "source"), in that order. On
+/// failure returns false with \p ErrorLine set to the complete structured
+/// error response — the caller writes it verbatim, so serve and router
+/// reject identical garbage with identical bytes.
 bool parseWireRequest(const std::string &Line, std::size_t MaxBytes,
                       const RequestOptions &Defaults, WireRequest &Req,
                       std::string &ErrorLine);

@@ -125,11 +125,6 @@ private:
   bool admitAcquire(const std::string &Tenant);
   void admitRelease(const std::string &Tenant);
 
-  /// Forwards \p Line to \p Backend and reads one response line; false
-  /// on any transport failure.
-  bool forwardOnce(const std::string &Backend, const std::string &Line,
-                   std::string &Response);
-
   /// \p Order (a key's ring successors) reordered healthy first, ring
   /// order kept within each class (unhealthy ones are kept as a last
   /// resort — a probe may be stale).
@@ -155,8 +150,9 @@ private:
   bool Draining = false;
 };
 
-/// Runs the router per \p Opts: AF_UNIX listener, one thread per
-/// connection (forwarding runs concurrently), plus a health-probe thread.
+/// Runs the router per \p Opts on the shared line transport
+/// (driver/LineSocket.h) with no connection gate, so forwarding runs
+/// concurrently, plus a health-probe thread.
 /// Returns a process exit code (0 on clean shutdown, 2 on setup failure).
 int runRouter(const RouterOptions &Opts);
 

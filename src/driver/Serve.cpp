@@ -7,6 +7,7 @@
 #include "driver/Serve.h"
 
 #include "diag/DiagRenderer.h"
+#include "driver/LineSocket.h"
 #include "driver/Session.h"
 #include "numeric/MemoSnapshot.h"
 #include "support/Fault.h"
@@ -14,17 +15,11 @@
 #include "support/Version.h"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <mutex>
 #include <optional>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -351,16 +346,10 @@ std::string ServeServer::handleLine(const std::string &Line, bool &Shutdown) {
   std::uint64_t Start = nowUs();
   ++Stats.Requests;
 
-  auto Fail = [&](const std::string &IdJson, const char *Code,
-                  const std::string &Msg) {
-    ++Stats.Errors;
-    Stats.WallUsTotal += nowUs() - Start;
-    return api::wireError(IdJson, Code, Msg, /*Retryable=*/false);
-  };
-
-  // The envelope — size cap, JSON shape, member types, protocol version —
-  // is enforced by the shared codec, so serve, router, and client agree
-  // byte-for-byte on what a malformed request is answered with.
+  // The envelope — size cap, JSON shape, member types, protocol version,
+  // request type — is enforced by the shared codec, so serve, router, and
+  // client agree byte-for-byte on what a malformed request is answered
+  // with.
   api::WireRequest Req;
   std::string ErrorLine;
   if (!api::parseWireRequest(Line, Opts.MaxRequestBytes, Opts.Defaults, Req,
@@ -370,22 +359,12 @@ std::string ServeServer::handleLine(const std::string &Line, bool &Shutdown) {
     return ErrorLine;
   }
 
-  std::string Resp;
-  if (Req.Type == "analyze") {
-    if (!Req.Source && Req.Path == "<request>")
-      return Fail(Req.IdJson, "invalid-request",
-                  "analyze needs a path or a source");
-    Resp = handleAnalyze(Req);
-  } else if (Req.Type == "lint") {
-    if (!Req.Source && Req.Path == "<request>")
-      return Fail(Req.IdJson, "invalid-request",
-                  "lint needs a path or a source");
-    Resp = handleLint(Req);
-  } else if (Req.Type == "stats") {
+  if (Req.Type == "stats") {
     Stats.WallUsTotal += nowUs() - Start;
     return api::wireResponseHead(Req.IdJson) + ",\"ok\":true,\"stats\":" +
            stats().json(cacheEntries(), Opts.CacheCapacity) + "}";
-  } else if (Req.Type == "shutdown") {
+  }
+  if (Req.Type == "shutdown") {
     Shutdown = true;
     // Graceful drain: pending store writes and the memo snapshot are
     // flushed before the response goes out, so an acknowledged shutdown
@@ -394,12 +373,9 @@ std::string ServeServer::handleLine(const std::string &Line, bool &Shutdown) {
     Stats.WallUsTotal += nowUs() - Start;
     return api::wireResponseHead(Req.IdJson) +
            ",\"ok\":true,\"shutting_down\":true}";
-  } else if (Req.Type.empty()) {
-    return Fail(Req.IdJson, "invalid-request", "request has no type");
-  } else {
-    return Fail(Req.IdJson, "invalid-request",
-                "unknown request type '" + Req.Type + "'");
   }
+  std::string Resp =
+      Req.Type == "analyze" ? handleAnalyze(Req) : handleLint(Req);
 
   // Deliberate mid-response crash site: the request was handled but the
   // response never leaves. Clients must treat the dropped connection as
@@ -429,79 +405,6 @@ void csdf::runServeLoop(ServeServer &Server, std::istream &In,
   }
 }
 
-namespace {
-
-bool writeAllFd(int Fd, const std::string &Data) {
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::write(Fd, Data.data() + Off, Data.size() - Off);
-    if (N <= 0)
-      return false;
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// Serves one accepted socket connection with the line protocol.
-/// handleLine calls are serialized through \p Mu; reads poll with a short
-/// timeout so the thread notices a daemon-wide shutdown promptly.
-void serveConnection(ServeServer &Server, std::mutex &Mu, int Fd,
-                     std::atomic<bool> &Shutdown, const ServeOptions &Opts) {
-  timeval Tv{0, 200000};
-  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv));
-
-  std::string Buf;
-  char Chunk[4096];
-  while (!Shutdown.load()) {
-    size_t Nl = Buf.find('\n');
-    if (Nl == std::string::npos) {
-      // A runaway line (no newline past the cap) is answered and the
-      // connection dropped — the daemon never buffers without bound.
-      if (Buf.size() > Opts.MaxRequestBytes + 4096) {
-        writeAllFd(Fd, api::wireError(
-                           "null", "parse-error",
-                           "request exceeds " +
-                               std::to_string(Opts.MaxRequestBytes) +
-                               " bytes",
-                           /*Retryable=*/false) +
-                           "\n");
-        return;
-      }
-      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-      if (N == 0)
-        return; // client EOF
-      if (N < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-          continue; // timeout: re-check Shutdown
-        return;
-      }
-      Buf.append(Chunk, static_cast<size_t>(N));
-      continue;
-    }
-    std::string Line = Buf.substr(0, Nl);
-    Buf.erase(0, Nl + 1);
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
-    if (Line.empty())
-      continue;
-    std::string Resp;
-    bool WantShutdown = false;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      Resp = Server.handleLine(Line, WantShutdown);
-    }
-    bool Wrote = writeAllFd(Fd, Resp + "\n");
-    if (WantShutdown) {
-      Shutdown.store(true);
-      return;
-    }
-    if (!Wrote)
-      return;
-  }
-}
-
-} // namespace
-
 int csdf::runServe(const ServeOptions &Opts) {
   ServeServer Server(Opts);
   if (!Server.storeError().empty()) {
@@ -514,78 +417,23 @@ int csdf::runServe(const ServeOptions &Opts) {
     return 0;
   }
 
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  if (Opts.SocketPath.size() >= sizeof(Addr.sun_path)) {
-    std::fprintf(stderr, "csdf: error: socket path too long: '%s'\n",
-                 Opts.SocketPath.c_str());
-    return 2;
-  }
-  std::memcpy(Addr.sun_path, Opts.SocketPath.c_str(),
-              Opts.SocketPath.size());
-
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    std::fprintf(stderr, "csdf: error: socket: %s\n", std::strerror(errno));
-    return 2;
-  }
-  ::unlink(Opts.SocketPath.c_str());
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
-      ::listen(Fd, 64) != 0) {
-    std::fprintf(stderr, "csdf: error: cannot listen on '%s': %s\n",
-                 Opts.SocketPath.c_str(), std::strerror(errno));
-    ::close(Fd);
-    return 2;
-  }
-
-  // Each connection gets its own thread; request handling is serialized
-  // through Mu (one warm analyzer). The admission gate sheds connections
-  // beyond MaxInflight + QueueDepth with a structured `overloaded`
-  // response instead of queueing unboundedly.
-  std::atomic<bool> Shutdown{false};
-  std::atomic<unsigned> Inflight{0};
+  // Request handling is serialized through Mu (one warm analyzer); the
+  // transport sheds connections beyond MaxInflight + QueueDepth with a
+  // structured `overloaded` response instead of queueing unboundedly.
   std::mutex Mu;
-  std::vector<std::thread> Threads;
-  const unsigned AdmitLimit = Opts.MaxInflight + Opts.QueueDepth;
-
-  while (!Shutdown.load()) {
-    pollfd P{Fd, POLLIN, 0};
-    int R = ::poll(&P, 1, 200);
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (R == 0)
-      continue; // timeout: re-check Shutdown
-    int Conn = ::accept(Fd, nullptr, nullptr);
-    if (Conn < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (Inflight.load() >= AdmitLimit) {
-      writeAllFd(Conn, overloadedResponse(/*RetryAfterMs=*/50) + "\n");
-      ::close(Conn);
-      std::lock_guard<std::mutex> Lock(Mu);
-      Server.countShed();
-      continue;
-    }
-    ++Inflight;
-    Threads.emplace_back([&Server, &Mu, &Shutdown, &Inflight, &Opts,
-                          Conn]() {
-      serveConnection(Server, Mu, Conn, Shutdown, Opts);
-      ::close(Conn);
-      --Inflight;
-    });
-  }
-  // Drain: every admitted connection finishes its in-flight request and
-  // gets its response before the process exits.
-  for (std::thread &T : Threads)
-    T.join();
-  ::close(Fd);
-  ::unlink(Opts.SocketPath.c_str());
-  Server.flushStore();
-  return 0;
+  std::atomic<bool> Shutdown{false};
+  int Rc = serveLines(
+      Opts.SocketPath, Opts.MaxRequestBytes,
+      Opts.MaxInflight + Opts.QueueDepth, Shutdown,
+      [&Server, &Mu](const std::string &Line, bool &WantShutdown) {
+        std::lock_guard<std::mutex> Lock(Mu);
+        return Server.handleLine(Line, WantShutdown);
+      },
+      [&Server, &Mu] {
+        std::lock_guard<std::mutex> Lock(Mu);
+        Server.countShed();
+      });
+  if (Rc == 0)
+    Server.flushStore();
+  return Rc;
 }

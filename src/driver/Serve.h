@@ -45,13 +45,13 @@
 /// `csdf client` implements the retry side of this contract with capped
 /// exponential backoff.
 ///
-/// On the socket transport each connection is served on its own thread
-/// (request handling itself is serialized through the single warm
-/// analyzer); the admission gate sheds connections beyond
-/// `--max-inflight` + `--queue-depth` with an `overloaded` response
-/// instead of queueing unboundedly. A `shutdown` request drains: requests
-/// already in flight still get responses, the disk store is flushed, and
-/// the process exits 0 deterministically.
+/// The socket transport is the shared line transport (driver/LineSocket.h):
+/// each connection is served on its own thread (request handling itself
+/// is serialized through the single warm analyzer), and the admission
+/// gate sheds connections beyond `--max-inflight` + `--queue-depth` with
+/// an `overloaded` response instead of queueing unboundedly. A `shutdown`
+/// request drains: requests already in flight still get responses, the
+/// disk store is flushed, and the process exits 0 deterministically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -219,7 +219,7 @@ public:
   std::size_t cacheEntries() const { return CacheMap.size(); }
   DiskStore *store() { return Store.get(); }
 
-  /// Counts one admission-gate shed (called by the socket accept loop
+  /// Counts one admission-gate shed (the transport's shed hook, called
   /// under the server mutex).
   void countShed() { ++Stats.ShedConnections; }
 

@@ -7,12 +7,14 @@
 // RouterServer against stub unix-socket shards: deterministic placement,
 // verbatim forwarding with the shard member appended, failover past dead
 // and overloaded shards, the retryable "unavailable" terminal error,
-// per-tenant admission shedding, and locally answered stats/shutdown.
+// per-tenant admission shedding, locally answered stats/shutdown, and
+// request-shape rejections byte-identical to a shard's.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/Router.h"
 
+#include "driver/Serve.h"
 #include "support/Json.h"
 
 #include "gtest/gtest.h"
@@ -427,6 +429,25 @@ TEST(RouterTest, RejectsGarbageAndUnknownTypesLikeAShard) {
   EXPECT_EQ(Mismatch.get("code")->asString(), "proto-mismatch");
 
   EXPECT_EQ(Router.statsSnapshot().Errors, 3u);
+}
+
+TEST(RouterTest, RequestShapeErrorsAreByteIdenticalToAShard) {
+  RouterOptions Opts = optionsFor({shardPath("shape")});
+  RouterServer Router(Opts);
+  ServeServer Shard{ServeOptions()};
+  for (const char *Line : {"{\"id\":9}", "{\"type\":\"frobnicate\"}",
+                           "{\"type\":\"analyze\"}", "{\"type\":\"lint\"}"}) {
+    bool RouterShutdown = false, ShardShutdown = false;
+    std::string FromRouter = Router.handleLine(Line, RouterShutdown);
+    std::string FromShard = Shard.handleLine(Line, ShardShutdown);
+    EXPECT_EQ(FromRouter, FromShard) << Line;
+    EXPECT_EQ(parsed(FromRouter).get("code")->asString(), "invalid-request")
+        << Line;
+  }
+  RouterStats Stats = Router.statsSnapshot();
+  EXPECT_EQ(Stats.Errors, 4u);
+  EXPECT_EQ(Stats.Forwarded + Stats.Unavailable, 0u); // none left the router
+  EXPECT_EQ(Shard.stats().Errors, 4u);
 }
 
 } // namespace

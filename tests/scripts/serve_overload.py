@@ -9,6 +9,12 @@
    must recover and exit 0.
 3. `csdf client` retry also recovers from a daemon that comes up late
    (connect refused is retryable).
+4. Clients that hang up before their answer: 20 clients each send an
+   `analyze` line and close without reading. The daemon must survive
+   writing into the closed sockets (no SIGPIPE), still answer `stats`,
+   and exit 0 on `shutdown`. Then 200 sequential connections must not
+   grow the daemon's memory map by more than 10 lines (finished
+   connection threads are joined, not kept until shutdown).
 
 Usage: serve_overload.py <csdf-binary>
 """
@@ -48,6 +54,7 @@ def main():
         f.write(program(0))
     try:
         run(csdf, sock, mpl)
+        early_hangups(csdf, sock, work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     log("PASS: serve overload + client retry")
@@ -147,6 +154,47 @@ def run(csdf, sock, mpl):
              % (client.returncode, client.stderr))
     shutdown_daemon(late["proc"], sock, expect_rc=0)
     log("csdf client recovered from connect-refused")
+
+
+def map_lines(pid):
+    with open("/proc/%d/maps" % pid) as f:
+        return sum(1 for _ in f)
+
+
+def early_hangups(csdf, sock, work):
+    proc = start_daemon(csdf, sock)
+
+    # A distinct program per client, so each answer is a cold analysis and
+    # the client has closed its socket by the time the daemon writes.
+    for i in range(20):
+        path = os.path.join(work, "hangup%d.mpl" % i)
+        with open(path, "w") as f:
+            f.write(program(100 + i))
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            s.connect(sock)
+            s.sendall(json.dumps({"type": "analyze", "path": path}).encode()
+                      + b"\n")
+    raw, resp = request_json(sock, {"type": "stats"})
+    if resp is None:
+        try:
+            rc = proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            rc = None
+        fail("daemon stopped answering after early hang-ups (rc=%r)" % rc)
+    if not resp.get("ok"):
+        fail("stats after early hang-ups failed: %r" % raw)
+    log("daemon survived 20 clients that hung up before their answer")
+
+    if os.path.exists("/proc/%d/maps" % proc.pid):
+        before = map_lines(proc.pid)
+        for _ in range(200):
+            get_stats(sock)
+        grown = map_lines(proc.pid) - before
+        if grown > 10:
+            fail("200 sequential connections grew the daemon's maps by %d "
+                 "lines (finished connection threads not joined)" % grown)
+        log("200 sequential connections grew the maps by %d lines" % grown)
+    shutdown_daemon(proc, sock, expect_rc=0)
 
 
 if __name__ == "__main__":
