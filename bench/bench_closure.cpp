@@ -10,9 +10,10 @@
 // dataflow state using efficient abstractions such as arrays instead of
 // C++ STL containers" is optimization direction 3).
 //
-// This benchmark regenerates the shape of those claims:
-//   * full closure scales ~n^3, incremental repair ~n^2;
-//   * the dense-array backend beats the std::map backend by a wide margin.
+// This benchmark regenerates the shape of those claims on the flat-array
+// matrix: full closure scales ~n^3, incremental repair ~n^2. (The std::map
+// backend it was once compared against is gone; EXPERIMENTS.md E6 keeps
+// the historical numbers.)
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,10 +34,10 @@ using namespace csdf;
 namespace {
 
 /// Builds a chain + random-ish extra constraints over N variables.
-ConstraintGraph buildGraph(DbmBackend Backend, int N, StatsRegistry *Stats,
+ConstraintGraph buildGraph(int N, StatsRegistry *Stats,
                            SymbolTablePtr Syms = nullptr,
                            ClosureMemoPtr Memo = nullptr) {
-  ConstraintGraph G(Backend, Stats, std::move(Syms), std::move(Memo));
+  ConstraintGraph G(Stats, std::move(Syms), std::move(Memo));
   for (int I = 0; I + 1 < N; ++I)
     G.addLE("v" + std::to_string(I), "v" + std::to_string(I + 1),
             (I * 7) % 5);
@@ -50,9 +51,8 @@ ConstraintGraph buildGraph(DbmBackend Backend, int N, StatsRegistry *Stats,
 /// every 16th pair carries a bound. The common shape for cold pCFG states
 /// (most symbolic variables never interact); the closure kernel's
 /// occupancy bitmap should collapse the O(n^3) to the few live rows.
-ConstraintGraph buildSparseGraph(DbmBackend Backend, int N,
-                                 StatsRegistry *Stats) {
-  ConstraintGraph G(Backend, Stats);
+ConstraintGraph buildSparseGraph(int N, StatsRegistry *Stats) {
+  ConstraintGraph G(Stats);
   for (int I = 0; I < N; ++I)
     G.ensureVar("v" + std::to_string(I));
   for (int I = 0; I + 1 < N; I += 16)
@@ -63,11 +63,10 @@ ConstraintGraph buildSparseGraph(DbmBackend Backend, int N,
 
 void BM_FullClosure(benchmark::State &State) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
+  int N = static_cast<int>(State.range(0));
   for (auto _ : State) {
     State.PauseTiming();
-    ConstraintGraph G = buildGraph(Backend, N, &Stats);
+    ConstraintGraph G = buildGraph(N, &Stats);
     State.ResumeTiming();
     G.close();
     benchmark::DoNotOptimize(G.isFeasible());
@@ -77,9 +76,8 @@ void BM_FullClosure(benchmark::State &State) {
 
 void BM_IncrementalRepair(benchmark::State &State) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
-  ConstraintGraph G = buildGraph(Backend, N, &Stats);
+  int N = static_cast<int>(State.range(0));
+  ConstraintGraph G = buildGraph(N, &Stats);
   G.close();
   std::int64_t C = -1000;
   for (auto _ : State) {
@@ -93,8 +91,7 @@ void BM_IncrementalRepair(benchmark::State &State) {
 
 void BM_MemoizedReclose(benchmark::State &State) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
+  int N = static_cast<int>(State.range(0));
   auto Syms = std::make_shared<SymbolTable>();
   auto Memo = std::make_shared<ClosureMemo>();
   for (auto _ : State) {
@@ -102,7 +99,7 @@ void BM_MemoizedReclose(benchmark::State &State) {
     // configuration: the first close is a full Floyd-Warshall (memo
     // miss), every later one adopts the memoized closed block.
     State.PauseTiming();
-    ConstraintGraph G = buildGraph(Backend, N, &Stats, Syms, Memo);
+    ConstraintGraph G = buildGraph(N, &Stats, Syms, Memo);
     State.ResumeTiming();
     G.close();
     benchmark::DoNotOptimize(G.isFeasible());
@@ -114,10 +111,9 @@ void BM_MemoizedReclose(benchmark::State &State) {
 
 void BM_JoinGraphs(benchmark::State &State) {
   StatsRegistry Stats;
-  auto Backend = static_cast<DbmBackend>(State.range(0));
-  int N = static_cast<int>(State.range(1));
-  ConstraintGraph A = buildGraph(Backend, N, &Stats);
-  ConstraintGraph B = buildGraph(Backend, N, &Stats);
+  int N = static_cast<int>(State.range(0));
+  ConstraintGraph A = buildGraph(N, &Stats);
+  ConstraintGraph B = buildGraph(N, &Stats);
   B.addLE("v1", "v0", 2);
   for (auto _ : State) {
     ConstraintGraph Copy = A;
@@ -129,41 +125,32 @@ void BM_JoinGraphs(benchmark::State &State) {
 } // namespace
 
 BENCHMARK(BM_FullClosure)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {8, 16, 32, 64, 128}})
+    ->RangeMultiplier(2)
+    ->Range(8, 128)
     ->Complexity(benchmark::oNCubed)
     ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_IncrementalRepair)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {8, 16, 32, 64, 128}})
+    ->RangeMultiplier(2)
+    ->Range(8, 128)
     ->Complexity(benchmark::oNSquared)
     ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_MemoizedReclose)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {8, 16, 32, 64, 128}})
+    ->RangeMultiplier(2)
+    ->Range(8, 128)
     ->Unit(benchmark::kMicrosecond);
 
 BENCHMARK(BM_JoinGraphs)
-    ->ArgsProduct({{static_cast<long>(DbmBackend::Dense),
-                    static_cast<long>(DbmBackend::MapBased)},
-                   {16, 64}})
+    ->Arg(16)
+    ->Arg(64)
     ->Unit(benchmark::kMicrosecond);
 
 namespace {
 
-const char *backendName(DbmBackend B) {
-  return B == DbmBackend::Dense ? "dense" : "map";
-}
-
 /// One manually timed record for the machine-readable sweep.
 struct JsonRecord {
   const char *Workload;
-  DbmBackend Backend;
   int N;
   std::int64_t WallNs;
   std::int64_t FullCalls;
@@ -179,18 +166,17 @@ std::int64_t nowNs() {
 
 /// Repeats full closure / incremental repair / copy+join workloads under a
 /// private StatsRegistry, timing total wall clock per workload.
-void sweepInto(std::vector<JsonRecord> &Records, DbmBackend Backend, int N,
-               int Repeats) {
+void sweepInto(std::vector<JsonRecord> &Records, int N, int Repeats) {
   StatsRegistry Stats;
   {
     Stats.clear();
     std::int64_t Start = nowNs();
     for (int R = 0; R < Repeats; ++R) {
-      ConstraintGraph G = buildGraph(Backend, N, &Stats);
+      ConstraintGraph G = buildGraph(N, &Stats);
       G.close();
       benchmark::DoNotOptimize(G.isFeasible());
     }
-    Records.push_back({"full_closure", Backend, N, nowNs() - Start,
+    Records.push_back({"full_closure", N, nowNs() - Start,
                        Stats.counter("cg.closure.full.calls"),
                        Stats.counter("cg.closure.incr.calls"), 0});
   }
@@ -200,18 +186,18 @@ void sweepInto(std::vector<JsonRecord> &Records, DbmBackend Backend, int N,
     auto Memo = std::make_shared<ClosureMemo>();
     std::int64_t Start = nowNs();
     for (int R = 0; R < Repeats; ++R) {
-      ConstraintGraph G = buildGraph(Backend, N, &Stats, Syms, Memo);
+      ConstraintGraph G = buildGraph(N, &Stats, Syms, Memo);
       G.close();
       benchmark::DoNotOptimize(G.isFeasible());
     }
-    Records.push_back({"memoized_reclose", Backend, N, nowNs() - Start,
+    Records.push_back({"memoized_reclose", N, nowNs() - Start,
                        Stats.counter("cg.closure.full.calls"),
                        Stats.counter("cg.closure.incr.calls"),
                        Stats.counter("cg.closure.memo.hits")});
   }
   {
     Stats.clear();
-    ConstraintGraph G = buildGraph(Backend, N, &Stats);
+    ConstraintGraph G = buildGraph(N, &Stats);
     G.close();
     std::int64_t C = -1000;
     std::int64_t Start = nowNs();
@@ -219,14 +205,14 @@ void sweepInto(std::vector<JsonRecord> &Records, DbmBackend Backend, int N,
       G.addLE("v0", "v" + std::to_string(N - 1), C--);
       benchmark::DoNotOptimize(G.isFeasible());
     }
-    Records.push_back({"incremental_repair", Backend, N, nowNs() - Start,
+    Records.push_back({"incremental_repair", N, nowNs() - Start,
                        Stats.counter("cg.closure.full.calls"),
                        Stats.counter("cg.closure.incr.calls"), 0});
   }
   {
     Stats.clear();
-    ConstraintGraph A = buildGraph(Backend, N, &Stats);
-    ConstraintGraph B = buildGraph(Backend, N, &Stats);
+    ConstraintGraph A = buildGraph(N, &Stats);
+    ConstraintGraph B = buildGraph(N, &Stats);
     B.addLE("v1", "v0", 2);
     std::int64_t Start = nowNs();
     for (int R = 0; R < Repeats; ++R) {
@@ -234,37 +220,37 @@ void sweepInto(std::vector<JsonRecord> &Records, DbmBackend Backend, int N,
       Copy.joinWith(B);
       benchmark::DoNotOptimize(Copy.numVars());
     }
-    Records.push_back({"copy_join", Backend, N, nowNs() - Start,
+    Records.push_back({"copy_join", N, nowNs() - Start,
                        Stats.counter("cg.closure.full.calls"),
                        Stats.counter("cg.closure.incr.calls"), 0});
   }
   {
     // Cold close of a mostly-unconstrained graph: the sparse-row-skip
-    // win. The dense full_closure record above is the baseline.
+    // win. The full_closure record above is the baseline.
     Stats.clear();
     std::int64_t Start = nowNs();
     for (int R = 0; R < Repeats; ++R) {
-      ConstraintGraph G = buildSparseGraph(Backend, N, &Stats);
+      ConstraintGraph G = buildSparseGraph(N, &Stats);
       G.close();
       benchmark::DoNotOptimize(G.isFeasible());
     }
-    Records.push_back({"sparse_cold", Backend, N, nowNs() - Start,
+    Records.push_back({"sparse_cold", N, nowNs() - Start,
                        Stats.counter("cg.closure.full.calls"),
                        Stats.counter("cg.closure.incr.calls"), 0});
   }
 }
 
-/// Dense-backend full closures at blocked-FW-relevant sizes (multiple
+/// Full closures at blocked-FW-relevant sizes (multiple
 /// tiles per axis), the cache-blocking tuning record.
 void blockedSweepInto(std::vector<JsonRecord> &Records, int N, int Repeats) {
   StatsRegistry Stats;
   std::int64_t Start = nowNs();
   for (int R = 0; R < Repeats; ++R) {
-    ConstraintGraph G = buildGraph(DbmBackend::Dense, N, &Stats);
+    ConstraintGraph G = buildGraph(N, &Stats);
     G.close();
     benchmark::DoNotOptimize(G.isFeasible());
   }
-  Records.push_back({"blocked_sweep", DbmBackend::Dense, N, nowNs() - Start,
+  Records.push_back({"blocked_sweep", N, nowNs() - Start,
                      Stats.counter("cg.closure.full.calls"),
                      Stats.counter("cg.closure.incr.calls"), 0});
 }
@@ -273,9 +259,8 @@ void blockedSweepInto(std::vector<JsonRecord> &Records, int N, int Repeats) {
 /// commit.
 int runJsonSweep(const std::string &Path, const std::vector<int> &Sizes) {
   std::vector<JsonRecord> Records;
-  for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased})
-    for (int N : Sizes)
-      sweepInto(Records, Backend, N, /*Repeats=*/20);
+  for (int N : Sizes)
+    sweepInto(Records, N, /*Repeats=*/20);
   for (int N : {64, 128, 256})
     blockedSweepInto(Records, N, /*Repeats=*/20);
 
@@ -289,10 +274,10 @@ int runJsonSweep(const std::string &Path, const std::vector<int> &Sizes) {
   for (size_t I = 0; I < Records.size(); ++I) {
     const JsonRecord &R = Records[I];
     std::fprintf(Out,
-                 "  {\"workload\": \"%s\", \"backend\": \"%s\", \"n\": %d, "
+                 "  {\"workload\": \"%s\", \"n\": %d, "
                  "\"wall_ns\": %lld, \"full_closures\": %lld, "
                  "\"incremental_closures\": %lld, \"memo_hits\": %lld}%s\n",
-                 R.Workload, backendName(R.Backend), R.N,
+                 R.Workload, R.N,
                  static_cast<long long>(R.WallNs),
                  static_cast<long long>(R.FullCalls),
                  static_cast<long long>(R.IncrCalls),

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // google-benchmark timings for complete pCFG analyses of each corpus
-// kernel, per client analysis and per constraint-graph backend. Useful
-// for tracking engine performance regressions; the report-style
-// experiment binaries interpret the numbers against the paper.
+// kernel, per client analysis. Useful for tracking engine performance
+// regressions; the report-style experiment binaries interpret the numbers
+// against the paper.
 //
 //===----------------------------------------------------------------------===//
 
@@ -57,12 +57,6 @@ void BM_AnalyzeBroadcast(benchmark::State &State) {
               AnalysisOptions::simpleSymbolic());
 }
 
-void BM_AnalyzeBroadcastMapBackend(benchmark::State &State) {
-  AnalysisOptions Opts = AnalysisOptions::simpleSymbolic();
-  Opts.Backend = DbmBackend::MapBased;
-  analyzeLoop(State, corpus::fanOutBroadcast(), Opts);
-}
-
 void BM_AnalyzeExchangeWithRoot(benchmark::State &State) {
   analyzeLoop(State, corpus::exchangeWithRoot(),
               AnalysisOptions::simpleSymbolic());
@@ -87,7 +81,6 @@ void BM_AnalyzeShiftFixedNp(benchmark::State &State) {
 
 BENCHMARK(BM_AnalyzeFigure2)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AnalyzeBroadcast)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_AnalyzeBroadcastMapBackend)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AnalyzeExchangeWithRoot)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AnalyzeTransposeSquare)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AnalyzeNascg)->Unit(benchmark::kMicrosecond);

@@ -14,8 +14,7 @@
 //   * C++ STL containers blamed for cache-hostile state.
 //
 // This binary analyzes the same fan-out broadcast kernel and prints the
-// corresponding measurements for this implementation, on both constraint-
-// graph backends. Absolute times differ by orders of magnitude (different
+// corresponding measurements for this implementation. Absolute times differ by orders of magnitude (different
 // decade of hardware, leaner client analysis — the paper itself lists the
 // fixes we applied as its optimization directions 1-4); the *shape* to
 // compare is where time goes and how many closures of which kind run.
@@ -37,7 +36,6 @@ using namespace csdf;
 namespace {
 
 struct ProfileRow {
-  const char *Backend;
   double TotalSec = 0;
   double ClosureSec = 0;
   long FullCalls = 0;
@@ -50,15 +48,13 @@ struct ProfileRow {
   bool Converged = false;
 };
 
-ProfileRow profileRun(DbmBackend Backend, const char *Name, int Repeats) {
+ProfileRow profileRun(int Repeats) {
   Program Prog = parseProgramOrDie(corpus::fanOutBroadcast());
   Cfg Graph = buildCfg(Prog);
 
   StatsRegistry Stats;
   AnalysisOptions Opts = AnalysisOptions::simpleSymbolic();
-  Opts.Backend = Backend;
   ProfileRow Row;
-  Row.Backend = Name;
   for (int I = 0; I < Repeats; ++I) {
     Stats.clear();
     AnalysisResult Result = analyzeProgram(Graph, Opts, &Stats);
@@ -82,8 +78,8 @@ ProfileRow profileRun(DbmBackend Backend, const char *Name, int Repeats) {
   return Row;
 }
 
-/// Writes both backend profiles as JSON so CI can archive the Section IX
-/// profile per commit.
+/// Writes the profile as JSON so CI can archive the Section IX profile per
+/// commit.
 int writeJson(const std::string &Path) {
   std::FILE *Out = std::fopen(Path.c_str(), "w");
   if (!Out) {
@@ -92,26 +88,19 @@ int writeJson(const std::string &Path) {
   }
   std::fprintf(Out, "{\n\"meta\": %s,\n\"records\": [\n",
                bench::benchMetaJson().c_str());
-  bool First = true;
-  for (auto [Backend, Name] :
-       {std::pair{DbmBackend::MapBased, "map"},
-        std::pair{DbmBackend::Dense, "dense"}}) {
-    ProfileRow Row = profileRun(Backend, Name, /*Repeats=*/1);
-    std::fprintf(
-        Out,
-        "%s  {\"workload\": \"fanout_broadcast\", \"backend\": \"%s\", "
-        "\"wall_ns\": %lld, \"closure_ns\": %lld, "
-        "\"full_closures\": %ld, \"full_avg_vars\": %.1f, "
-        "\"incremental_closures\": %ld, \"incr_avg_vars\": %.1f, "
-        "\"cow_copies\": %ld, \"cow_detaches\": %ld, "
-        "\"memo_hits\": %ld, \"converged\": %s}",
-        First ? "" : ",\n", Row.Backend,
-        static_cast<long long>(Row.TotalSec * 1e9),
-        static_cast<long long>(Row.ClosureSec * 1e9), Row.FullCalls,
-        Row.FullAvgVars, Row.IncrCalls, Row.IncrAvgVars, Row.CowCopies,
-        Row.CowDetaches, Row.MemoHits, Row.Converged ? "true" : "false");
-    First = false;
-  }
+  ProfileRow Row = profileRun(/*Repeats=*/1);
+  std::fprintf(
+      Out,
+      "  {\"workload\": \"fanout_broadcast\", "
+      "\"wall_ns\": %lld, \"closure_ns\": %lld, "
+      "\"full_closures\": %ld, \"full_avg_vars\": %.1f, "
+      "\"incremental_closures\": %ld, \"incr_avg_vars\": %.1f, "
+      "\"cow_copies\": %ld, \"cow_detaches\": %ld, "
+      "\"memo_hits\": %ld, \"converged\": %s}",
+      static_cast<long long>(Row.TotalSec * 1e9),
+      static_cast<long long>(Row.ClosureSec * 1e9), Row.FullCalls,
+      Row.FullAvgVars, Row.IncrCalls, Row.IncrAvgVars, Row.CowCopies,
+      Row.CowDetaches, Row.MemoHits, Row.Converged ? "true" : "false");
   std::fprintf(Out, "\n]\n}\n");
   std::fclose(Out);
   std::printf("wrote fan-out profile to %s\n", Path.c_str());
@@ -133,28 +122,22 @@ int main(int argc, char **argv) {
 
   const int Repeats = 1;
   std::printf("this implementation (per analysis of the same kernel):\n");
-  std::printf("%-9s %12s %12s %8s %9s %9s %9s %9s %7s %8s %8s %10s\n",
-              "backend", "total(ms)", "closure(ms)", "frac", "fullCls",
-              "avgVars", "incrCls", "avgVars", "copies", "detaches",
-              "memoHit", "converged");
-  for (auto [Backend, Name] :
-       {std::pair{DbmBackend::MapBased, "map"},
-        std::pair{DbmBackend::Dense, "dense"}}) {
-    ProfileRow Row = profileRun(Backend, Name, Repeats);
-    std::printf("%-9s %12.3f %12.3f %7.1f%% %9ld %9.1f %9ld %9.1f %7ld "
-                "%8ld %8ld %10s\n",
-                Row.Backend, Row.TotalSec * 1e3, Row.ClosureSec * 1e3,
-                Row.TotalSec > 0 ? 100.0 * Row.ClosureSec / Row.TotalSec
-                                 : 0.0,
-                Row.FullCalls, Row.FullAvgVars, Row.IncrCalls,
-                Row.IncrAvgVars, Row.CowCopies, Row.CowDetaches,
-                Row.MemoHits, Row.Converged ? "yes" : "no");
-  }
+  std::printf("%12s %12s %8s %9s %9s %9s %9s %7s %8s %8s %10s\n",
+              "total(ms)", "closure(ms)", "frac", "fullCls", "avgVars",
+              "incrCls", "avgVars", "copies", "detaches", "memoHit",
+              "converged");
+  ProfileRow Row = profileRun(Repeats);
+  std::printf("%12.3f %12.3f %7.1f%% %9ld %9.1f %9ld %9.1f %7ld %8ld %8ld "
+              "%10s\n",
+              Row.TotalSec * 1e3, Row.ClosureSec * 1e3,
+              Row.TotalSec > 0 ? 100.0 * Row.ClosureSec / Row.TotalSec : 0.0,
+              Row.FullCalls, Row.FullAvgVars, Row.IncrCalls, Row.IncrAvgVars,
+              Row.CowCopies, Row.CowDetaches, Row.MemoHits,
+              Row.Converged ? "yes" : "no");
   std::printf("\nshape checks (vs paper):\n");
-  std::printf("  * closure work dominates the analysis on the map backend "
-              "(paper: 92.5%%);\n");
   std::printf("  * both closure variants fire many times per analysis;\n");
-  std::printf("  * the dense-array backend removes most of that cost — the "
-              "paper's optimization directions 1-4 applied.\n");
+  std::printf("  * the flat-array state (the paper's optimization directions "
+              "1-4 applied) keeps closure a small share of the analysis — "
+              "the paper's prototype spent 92.5%% there.\n");
   return 0;
 }

@@ -22,7 +22,7 @@
 using namespace csdf;
 
 //===----------------------------------------------------------------------===//
-// Reference kernels (v1 semantics, virtual dispatch)
+// Reference kernels (v1 semantics, element-wise get/set)
 //===----------------------------------------------------------------------===//
 
 bool kernel::fullCloseRef(DbmStorage &M) {
@@ -165,7 +165,7 @@ void panel(std::int64_t *M, std::size_t Stride, const std::uint8_t *Occ,
 
 } // namespace
 
-bool kernel::fullCloseDense(DenseDbmStorage &D) {
+bool kernel::fullClose(DbmStorage &D) {
   const unsigned N = D.size();
   std::int64_t *M = D.rows();
   const std::size_t Stride = D.rowStride();
@@ -212,7 +212,7 @@ bool kernel::fullCloseDense(DenseDbmStorage &D) {
   return true;
 }
 
-bool kernel::closeAfterEdgeDense(DenseDbmStorage &D, unsigned I, unsigned J) {
+bool kernel::closeAfterEdge(DbmStorage &D, unsigned I, unsigned J) {
   const unsigned N = D.size();
   std::int64_t *M = D.rows();
   const std::size_t Stride = D.rowStride();
@@ -240,20 +240,4 @@ bool kernel::closeAfterEdgeDense(DenseDbmStorage &D, unsigned I, unsigned J) {
     minPlusRow(RowA, RowJ, AIC, 0, N);
   }
   return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Dispatch
-//===----------------------------------------------------------------------===//
-
-bool kernel::fullClose(DbmStorage &M) {
-  if (DenseDbmStorage *D = M.asDense())
-    return fullCloseDense(*D);
-  return fullCloseRef(M);
-}
-
-bool kernel::closeAfterEdge(DbmStorage &M, unsigned I, unsigned J) {
-  if (DenseDbmStorage *D = M.asDense())
-    return closeAfterEdgeDense(*D, I, J);
-  return closeAfterEdgeRef(M, I, J);
 }

@@ -7,9 +7,9 @@
 /// \file
 /// The numeric core's v2 closure kernels. Section IX of the paper puts
 /// 92.5% of analysis time into constraint-graph transitive closure; the
-/// v1 kernels dispatched a virtual DbmStorage::get/set per matrix element,
-/// which forbids vectorization outright. These kernels instead run on
-/// DenseDbmStorage's raw contiguous rows with a branchless saturating
+/// v1 kernels made a dynamically dispatched get/set call per element, which
+/// forbids vectorization outright. These kernels instead run on
+/// DbmStorage's raw contiguous rows with a branchless saturating
 /// min-plus inner loop the compiler auto-vectorizes (CI verifies the
 /// vectorization report), plus:
 ///
@@ -18,7 +18,7 @@
 ///     tiles, so the working set of the inner loops stays in L1/L2 at
 ///     n = 128..256 instead of streaming the whole matrix per k;
 ///   * sparse row skipping — the per-row occupancy bitmap maintained by
-///     DenseDbmStorage::set lets both the k and i loops skip rows with no
+///     DbmStorage::set lets both the k and i loops skip rows with no
 ///     finite off-diagonal bound, collapsing cold closures on the common
 ///     mostly-unconstrained graphs;
 ///   * exact semantics — for feasible systems the result is
@@ -28,9 +28,7 @@
 ///     still polled per outer k-panel so deadlines can interrupt a huge
 ///     closure. ClosureKernelTest pins all of this against the reference.
 ///
-/// fullClose/closeAfterEdge dispatch per backend: dense storages take the
-/// flat kernel, everything else (the std::map ablation backend) takes the
-/// reference loops — which are kept public as the test oracle.
+/// The v1 reference loops are kept public as the test oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,7 +45,8 @@ namespace kernel {
 /// the bench_closure `blocked_sweep` workload is the tuning record.
 inline constexpr unsigned ClosureTile = 32;
 
-/// Transitively closes \p M in place. Returns false when the constraint
+/// Transitively closes \p M in place with the blocked/sparse flat kernel.
+/// Returns false when the constraint
 /// system is infeasible (a negative cycle exists). Polls the session
 /// budget per outer k-panel.
 bool fullClose(DbmStorage &M);
@@ -56,17 +55,11 @@ bool fullClose(DbmStorage &M);
 /// closed before the tightening. Returns false on infeasibility.
 bool closeAfterEdge(DbmStorage &M, unsigned I, unsigned J);
 
-/// Reference implementations: the v1 naive triple loop over virtual
-/// get/set. Still the execution path for non-dense backends, and the
-/// oracle the ClosureKernelTest property suite compares the flat kernel
-/// against.
+/// Reference implementations: the v1 naive triple loop over element-wise
+/// get/set, the oracle the ClosureKernelTest property suite compares the
+/// flat kernels against. Never on the analysis path.
 bool fullCloseRef(DbmStorage &M);
 bool closeAfterEdgeRef(DbmStorage &M, unsigned I, unsigned J);
-
-/// The flat blocked/sparse kernels (dense storage only; fullClose and
-/// closeAfterEdge route here via DbmStorage::asDense()).
-bool fullCloseDense(DenseDbmStorage &M);
-bool closeAfterEdgeDense(DenseDbmStorage &M, unsigned I, unsigned J);
 
 } // namespace kernel
 } // namespace csdf

@@ -22,18 +22,17 @@ static const char *const ZeroVarName = "$0";
 //===----------------------------------------------------------------------===//
 
 std::shared_ptr<DbmShared>
-ClosureMemo::lookup(std::uint64_t Key, DbmBackend Backend,
+ClosureMemo::lookup(std::uint64_t Key,
                     const std::vector<std::int64_t> &Pre) const {
   std::lock_guard<std::mutex> L(M);
   auto [Lo, Hi] = Entries.equal_range(Key);
   for (auto It = Lo; It != Hi; ++It)
-    if (It->second.Backend == Backend && It->second.Pre == Pre)
+    if (It->second.Pre == Pre)
       return It->second.Closed;
   return nullptr;
 }
 
-void ClosureMemo::insert(std::uint64_t Key, DbmBackend Backend,
-                         std::vector<std::int64_t> Pre,
+void ClosureMemo::insert(std::uint64_t Key, std::vector<std::int64_t> Pre,
                          std::shared_ptr<DbmShared> Closed) {
   if (CrossSession && Closed) {
     // The memo outlives the inserting session's stack-local budget; keep
@@ -49,7 +48,7 @@ void ClosureMemo::insert(std::uint64_t Key, DbmBackend Backend,
   std::lock_guard<std::mutex> L(M);
   if (Entries.size() >= MaxEntries)
     Entries.clear();
-  Entries.emplace(Key, Entry{Backend, std::move(Pre), std::move(Closed)});
+  Entries.emplace(Key, Entry{std::move(Pre), std::move(Closed)});
 }
 
 std::size_t ClosureMemo::size() const {
@@ -58,24 +57,23 @@ std::size_t ClosureMemo::size() const {
 }
 
 void ClosureMemo::forEach(
-    const std::function<void(std::uint64_t, DbmBackend,
-                             const std::vector<std::int64_t> &,
+    const std::function<void(std::uint64_t, const std::vector<std::int64_t> &,
                              const DbmShared &)> &Fn) const {
   std::lock_guard<std::mutex> L(M);
   for (const auto &[Key, E] : Entries)
-    if (E.Closed && E.Closed->M)
-      Fn(Key, E.Backend, E.Pre, *E.Closed);
+    if (E.Closed)
+      Fn(Key, E.Pre, *E.Closed);
 }
 
 //===----------------------------------------------------------------------===//
 // Construction and copying
 //===----------------------------------------------------------------------===//
 
-ConstraintGraph::ConstraintGraph(DbmBackend Backend, StatsRegistry *Stats,
-                                 SymbolTablePtr Syms, ClosureMemoPtr Memo)
-    : Backend(Backend), Stats(Stats),
+ConstraintGraph::ConstraintGraph(StatsRegistry *Stats, SymbolTablePtr Syms,
+                                 ClosureMemoPtr Memo)
+    : Stats(Stats),
       Syms(Syms ? std::move(Syms) : std::make_shared<SymbolTable>()),
-      Memo(std::move(Memo)), Cow(Backend) {
+      Memo(std::move(Memo)) {
   if (Stats) {
     Cells.CowCopies = &Stats->counterCell("cg.cow.copies");
     Cells.CowDetaches = &Stats->counterCell("cg.cow.detaches");
@@ -89,12 +87,12 @@ ConstraintGraph::ConstraintGraph(DbmBackend Backend, StatsRegistry *Stats,
   }
   Vars.push_back(this->Syms->intern(ZeroVarName));
   DbmShared &B = Cow.rwShared(); // Freshly created: nothing shares it yet.
-  B.M->resize(1);
-  B.M->set(0, 0, 0);
+  B.M.resize(1);
+  B.M.set(0, 0, 0);
 }
 
 ConstraintGraph::ConstraintGraph(const ConstraintGraph &O)
-    : Backend(O.Backend), Stats(O.Stats), Cells(O.Cells), Syms(O.Syms),
+    : Stats(O.Stats), Cells(O.Cells), Syms(O.Syms),
       Memo(O.Memo), Vars(O.Vars), Cow(O.Cow) {
   bump(Cells.CowCopies);
 }
@@ -102,7 +100,6 @@ ConstraintGraph::ConstraintGraph(const ConstraintGraph &O)
 ConstraintGraph &ConstraintGraph::operator=(const ConstraintGraph &O) {
   if (this == &O)
     return *this;
-  Backend = O.Backend;
   Stats = O.Stats;
   Cells = O.Cells;
   Syms = O.Syms;
@@ -136,8 +133,8 @@ unsigned ConstraintGraph::ensureSlot(VarId Id) {
   Vars.push_back(Id);
   unsigned Slot = static_cast<unsigned>(Vars.size()) - 1;
   DbmShared &B = mutableBlock();
-  B.M->resize(Slot + 1);
-  B.M->set(Slot, Slot, 0);
+  B.M.resize(Slot + 1);
+  B.M.set(Slot, Slot, 0);
   B.reaccount();
   // Adding an unconstrained variable preserves closure.
   return Slot;
@@ -190,7 +187,7 @@ void ConstraintGraph::removeVarsIf(
   if (!Any)
     return;
   close();
-  mutableBlock().M->removeVars(Drop);
+  mutableBlock().M.removeVars(Drop);
   unsigned Kept = 0;
   for (unsigned I = 0; I < Vars.size(); ++I)
     if (!Drop[I])
@@ -246,7 +243,7 @@ void ConstraintGraph::addEdge(unsigned I, unsigned J, std::int64_t C) {
       mutableBlock().Feasible = false;
     return;
   }
-  std::int64_t Old = Cow.ro().M->get(I, J);
+  std::int64_t Old = Cow.ro().M.get(I, J);
   if (C >= Old)
     return;
   // On a warm matrix (closed at least once — the engine's steady state),
@@ -254,10 +251,15 @@ void ConstraintGraph::addEdge(unsigned I, unsigned J, std::int64_t C) {
   // applicable for this one. A cold matrix is still being built: batch
   // every tightening and pay one full closure at the first query, which
   // the ClosureMemo can satisfy when an identical graph was built before.
-  if (!Cow.ro().Closed && Cow.ro().PendingEdge && Cow.ro().EverClosed)
+  // The repair can itself tighten (I, J) below C, and then C is no
+  // tightening at all: writing it would loosen a closed bound.
+  if (!Cow.ro().Closed && Cow.ro().PendingEdge && Cow.ro().EverClosed) {
     close();
+    if (C >= Cow.ro().M.get(I, J))
+      return;
+  }
   DbmShared &B = mutableBlock();
-  B.M->set(I, J, C);
+  B.M.set(I, J, C);
   if (B.Closed) {
     B.Closed = false;
     B.PendingEdge = {I, J};
@@ -305,8 +307,8 @@ void ConstraintGraph::assign(const std::string &X, const LinearExpr &E) {
     for (unsigned J = 0; J < N; ++J) {
       if (J == I)
         continue;
-      B.M->set(I, J, dbmAdd(B.M->get(I, J), C));
-      B.M->set(J, I, dbmAdd(B.M->get(J, I), -C));
+      B.M.set(I, J, dbmAdd(B.M.get(I, J), C));
+      B.M.set(J, I, dbmAdd(B.M.get(J, I), -C));
     }
     // Uniform row/column shifts preserve closure.
     return;
@@ -325,8 +327,8 @@ void ConstraintGraph::havoc(const std::string &X) {
   for (unsigned J = 0; J < N; ++J) {
     if (J == *Slot)
       continue;
-    B.M->set(*Slot, J, DbmInfinity);
-    B.M->set(J, *Slot, DbmInfinity);
+    B.M.set(*Slot, J, DbmInfinity);
+    B.M.set(J, *Slot, DbmInfinity);
   }
   // Dropping all edges of one variable preserves closure.
 }
@@ -359,9 +361,9 @@ void ConstraintGraph::close() const {
     return;
   }
   if (Memo) {
-    std::uint64_t Key = dbmFingerprint(*B.M);
-    std::vector<std::int64_t> Pre = dbmSnapshot(*B.M);
-    if (auto Hit = Memo->lookup(Key, Backend, Pre)) {
+    std::uint64_t Key = dbmFingerprint(B.M);
+    std::vector<std::int64_t> Pre = dbmSnapshot(B.M);
+    if (auto Hit = Memo->lookup(Key, Pre)) {
       Cow.adopt(std::move(Hit));
       bump(Cells.MemoHits);
       return;
@@ -369,7 +371,7 @@ void ConstraintGraph::close() const {
     fullClose(B);
     B.Closed = true;
     bump(Cells.MemoMisses);
-    Memo->insert(Key, Backend, std::move(Pre), Cow.block());
+    Memo->insert(Key, std::move(Pre), Cow.block());
     return;
   }
   fullClose(B);
@@ -389,7 +391,7 @@ void ConstraintGraph::fullClose(DbmShared &B) const {
   bump(Cells.FullCalls);
   bump(Cells.FullVarsum, N);
   ScopedNanoTimer Timer(Cells.ClosureNanos);
-  if (!kernel::fullClose(*B.M))
+  if (!kernel::fullClose(B.M))
     B.Feasible = false;
 }
 
@@ -399,7 +401,7 @@ void ConstraintGraph::closeAfterEdge(DbmShared &B, unsigned I,
   bump(Cells.IncrCalls);
   bump(Cells.IncrVarsum, N);
   ScopedNanoTimer Timer(Cells.ClosureNanos);
-  if (!kernel::closeAfterEdge(*B.M, I, J))
+  if (!kernel::closeAfterEdge(B.M, I, J))
     B.Feasible = false;
 }
 
@@ -421,7 +423,7 @@ bool ConstraintGraph::provesLE(const LinearExpr &Lhs,
   if (!L || !R)
     return false;
   close();
-  return Cow.ro().M->get(L->first, R->first) <= R->second - L->second;
+  return Cow.ro().M.get(L->first, R->first) <= R->second - L->second;
 }
 
 bool ConstraintGraph::provesEQ(const LinearExpr &Lhs,
@@ -460,7 +462,7 @@ bool ConstraintGraph::provesLE(const ResolvedForm &Lhs,
   if (!Lhs.Known || !Rhs.Known)
     return false;
   close();
-  return Cow.ro().M->get(Lhs.Slot, Rhs.Slot) <= Rhs.C - Lhs.C;
+  return Cow.ro().M.get(Lhs.Slot, Rhs.Slot) <= Rhs.C - Lhs.C;
 }
 
 std::optional<std::int64_t> ConstraintGraph::bestBound(
@@ -470,7 +472,7 @@ std::optional<std::int64_t> ConstraintGraph::bestBound(
   if (!I || !J || !isFeasible())
     return std::nullopt;
   close();
-  std::int64_t Bound = Cow.ro().M->get(*I, *J);
+  std::int64_t Bound = Cow.ro().M.get(*I, *J);
   if (Bound >= DbmInfinity)
     return std::nullopt;
   return Bound;
@@ -491,8 +493,8 @@ std::optional<std::int64_t> ConstraintGraph::constValue(
   if (!Slot || !isFeasible())
     return std::nullopt;
   close();
-  std::int64_t Up = Cow.ro().M->get(*Slot, zeroSlot());
-  std::int64_t Down = Cow.ro().M->get(zeroSlot(), *Slot);
+  std::int64_t Up = Cow.ro().M.get(*Slot, zeroSlot());
+  std::int64_t Down = Cow.ro().M.get(zeroSlot(), *Slot);
   if (Up < DbmInfinity && Down < DbmInfinity && Up == -Down)
     return Up;
   return std::nullopt;
@@ -508,7 +510,7 @@ std::vector<LinearExpr> ConstraintGraph::equivalentForms(
     return Forms;
   close();
   auto [I, C] = *Base;
-  const DbmStorage &M = *Cow.ro().M;
+  const DbmStorage &M = Cow.ro().M;
   unsigned N = static_cast<unsigned>(Vars.size());
   for (unsigned V = 0; V < N; ++V) {
     if (V == I)
@@ -574,18 +576,18 @@ void ConstraintGraph::joinWith(const ConstraintGraph &O) {
     MapO[U] = O.slotForOther(*this, UnionIds[U]);
   }
 
-  auto NewStorage = makeDbmStorage(Backend);
-  NewStorage->resize(static_cast<unsigned>(UnionIds.size()));
-  const DbmStorage &MThis = *Cow.ro().M;
-  const DbmStorage &MO = *O.Cow.ro().M;
+  auto NewBlock = std::make_shared<DbmShared>();
+  DbmStorage &Joined = NewBlock->M;
+  Joined.resize(static_cast<unsigned>(UnionIds.size()));
+  const DbmStorage &MThis = Cow.ro().M;
+  const DbmStorage &MO = O.Cow.ro().M;
   for (unsigned I = 0; I < UnionIds.size(); ++I)
     for (unsigned J = 0; J < UnionIds.size(); ++J) {
       std::int64_t A = boundThrough(MThis, MapThis, I, J);
       std::int64_t B = boundThrough(MO, MapO, I, J);
-      NewStorage->set(I, J, std::max(A, B));
+      Joined.set(I, J, std::max(A, B));
     }
   Vars = std::move(UnionIds);
-  auto NewBlock = std::make_shared<DbmShared>(std::move(NewStorage));
   // Pointwise max of closed matrices is closed (and warm: later
   // tightenings should repair eagerly).
   NewBlock->Closed = true;
@@ -612,12 +614,12 @@ void ConstraintGraph::widenWith(const ConstraintGraph &O) {
   for (unsigned I = 0; I < N; ++I)
     MapO[I] = O.slotForOther(*this, Vars[I]);
   DbmShared &B = mutableBlock();
-  const DbmStorage &MO = *O.Cow.ro().M;
+  const DbmStorage &MO = O.Cow.ro().M;
   for (unsigned I = 0; I < N; ++I) {
     for (unsigned J = 0; J < N; ++J) {
       if (I == J)
         continue;
-      std::int64_t Mine = B.M->get(I, J);
+      std::int64_t Mine = B.M.get(I, J);
       if (Mine >= DbmInfinity)
         continue;
       std::int64_t Theirs = boundThrough(MO, MapO, I, J);
@@ -637,7 +639,7 @@ void ConstraintGraph::widenWith(const ConstraintGraph &O) {
           break;
         }
       }
-      B.M->set(I, J, Widened);
+      B.M.set(I, J, Widened);
     }
   }
   // A widened matrix is not re-closed: closing could re-tighten dropped
@@ -659,7 +661,7 @@ void ConstraintGraph::meetWith(const ConstraintGraph &O) {
     for (unsigned J = 0; J < ON; ++J) {
       if (I == J)
         continue;
-      std::int64_t Bound = O.Cow.ro().M->get(I, J);
+      std::int64_t Bound = O.Cow.ro().M.get(I, J);
       if (Bound >= DbmInfinity)
         continue;
       auto MySlot = [&](unsigned OSlot) -> unsigned {
@@ -685,8 +687,8 @@ bool ConstraintGraph::implies(const ConstraintGraph &O) const {
   std::vector<std::optional<unsigned>> MapThis(O.Vars.size());
   for (unsigned I = 0; I < O.Vars.size(); ++I)
     MapThis[I] = slotForOther(O, O.Vars[I]);
-  const DbmStorage &MThis = *Cow.ro().M;
-  const DbmStorage &MO = *O.Cow.ro().M;
+  const DbmStorage &MThis = Cow.ro().M;
+  const DbmStorage &MO = O.Cow.ro().M;
   for (unsigned I = 0; I < O.Vars.size(); ++I) {
     for (unsigned J = 0; J < O.Vars.size(); ++J) {
       if (I == J)
@@ -711,7 +713,7 @@ std::string ConstraintGraph::str() const {
   close();
   std::ostringstream OS;
   bool First = true;
-  const DbmStorage &M = *Cow.ro().M;
+  const DbmStorage &M = Cow.ro().M;
   unsigned N = static_cast<unsigned>(Vars.size());
   for (unsigned I = 0; I < N; ++I) {
     for (unsigned J = 0; J < N; ++J) {

@@ -27,7 +27,8 @@
 ///      so the pCFG engine's pervasive state copies are O(1) until a copy
 ///      actually mutates — and closure done through one copy is visible
 ///      to all of them, because Closed/Feasible live in the shared block;
-///   3. dense array storage (DenseDbmStorage) remains the default backend;
+///   3. the matrix is one flat row-major array (DbmStorage), never an STL
+///      container;
 ///   4. full-closure results are memoized in a per-analysis ClosureMemo
 ///      keyed by a matrix fingerprint, so `equals`/`implies` checks at
 ///      already-visited pCFG configurations skip the O(n^3) re-close.
@@ -62,7 +63,7 @@ namespace csdf {
 /// run. Memoized blocks
 /// are always Closed, which under the engine's closed-shared-block
 /// invariant makes them immutable: any handle that wants to mutate one
-/// detaches a private clone first.
+/// detaches a private copy first.
 class ClosureMemo {
 public:
   ClosureMemo() = default;
@@ -76,13 +77,12 @@ public:
 
   /// Returns the memoized closed block for a matrix equal to \p Pre, or
   /// nullptr.
-  std::shared_ptr<DbmShared> lookup(std::uint64_t Key, DbmBackend Backend,
+  std::shared_ptr<DbmShared> lookup(std::uint64_t Key,
                                     const std::vector<std::int64_t> &Pre)
       const;
 
   /// Records \p Closed as the closure of the matrix snapshotted in \p Pre.
-  void insert(std::uint64_t Key, DbmBackend Backend,
-              std::vector<std::int64_t> Pre,
+  void insert(std::uint64_t Key, std::vector<std::int64_t> Pre,
               std::shared_ptr<DbmShared> Closed);
 
   std::size_t size() const;
@@ -92,13 +92,12 @@ public:
   /// here; \p Fn must not call back into the memo. Visited blocks are
   /// Closed, hence immutable under the engine's closed-shared-block
   /// invariant, so reading them without copying is safe.
-  void forEach(const std::function<void(std::uint64_t Key, DbmBackend Backend,
+  void forEach(const std::function<void(std::uint64_t Key,
                                         const std::vector<std::int64_t> &Pre,
                                         const DbmShared &Closed)> &Fn) const;
 
 private:
   struct Entry {
-    DbmBackend Backend;
     std::vector<std::int64_t> Pre;
     std::shared_ptr<DbmShared> Closed;
   };
@@ -119,8 +118,7 @@ using ClosureMemoPtr = std::shared_ptr<ClosureMemo>;
 /// contradictory; most queries on an infeasible graph are vacuously true.
 class ConstraintGraph {
 public:
-  explicit ConstraintGraph(DbmBackend Backend = DbmBackend::Dense,
-                           StatsRegistry *Stats = &StatsRegistry::global(),
+  explicit ConstraintGraph(StatsRegistry *Stats = &StatsRegistry::global(),
                            SymbolTablePtr Syms = nullptr,
                            ClosureMemoPtr Memo = nullptr);
 
@@ -291,8 +289,6 @@ public:
   /// enforcement bookkeeping, never semantics).
   void detachAccounting() const;
 
-  DbmBackend backend() const { return Backend; }
-
   /// True when this graph still shares its matrix with another copy (or a
   /// memo entry) — i.e. no mutation has detached it yet.
   bool sharesStorage() const { return !Cow.unique(); }
@@ -322,14 +318,13 @@ private:
 
   void addEdge(unsigned I, unsigned J, std::int64_t C);
 
-  /// Clones the shared block if needed before a mutation; bumps the
-  /// cg.cow.detach counter when a real clone happened.
+  /// Copies the shared block if needed before a mutation; bumps the
+  /// cg.cow.detach counter when a real copy happened.
   DbmShared &mutableBlock();
 
   /// Floyd-Warshall closure; sets Feasible. O(n^3). Bumps the stats
-  /// cells, then delegates to kernel::fullClose (numeric/ClosureKernel.h:
-  /// the flat blocked/sparse kernel on dense storage, the reference loop
-  /// otherwise).
+  /// cells, then runs the flat blocked/sparse kernel::fullClose
+  /// (numeric/ClosureKernel.h).
   void fullClose(DbmShared &B) const;
 
   /// Repairs closure after tightening edge (I, J); requires the matrix was
@@ -358,7 +353,6 @@ private:
       Cell->fetch_add(Delta, std::memory_order_relaxed);
   }
 
-  DbmBackend Backend;
   StatsRegistry *Stats;
   CounterCells Cells;
   SymbolTablePtr Syms;

@@ -7,7 +7,6 @@
 #include "numeric/DbmStorage.h"
 
 #include "support/Budget.h"
-#include "support/ErrorHandling.h"
 
 #include <algorithm>
 #include <cassert>
@@ -25,13 +24,13 @@ void DbmShared::reaccount() {
     Accountant = currentBudget();
   if (!Accountant)
     return;
-  std::uint64_t Now = M ? M->byteSize() : 0;
+  std::uint64_t Now = M.byteSize();
   Accountant->accountBytes(static_cast<std::int64_t>(Now) -
                            static_cast<std::int64_t>(AccountedBytes));
   AccountedBytes = Now;
 }
 
-void DenseDbmStorage::resize(unsigned NewN) {
+void DbmStorage::resize(unsigned NewN) {
   assert(NewN >= N && "DBM storage cannot shrink via resize");
   if (NewN == N)
     return;
@@ -61,7 +60,7 @@ void DenseDbmStorage::resize(unsigned NewN) {
   N = NewN;
 }
 
-void DenseDbmStorage::removeVars(const std::vector<bool> &Drop) {
+void DbmStorage::removeVars(const std::vector<bool> &Drop) {
   assert(Drop.size() == N && "drop mask must cover every variable");
   // Kept columns as contiguous runs [first, second), found once and shared
   // by every row.
@@ -102,30 +101,10 @@ void DenseDbmStorage::removeVars(const std::vector<bool> &Drop) {
   Occ.resize(N);
 }
 
-void MapDbmStorage::removeVars(const std::vector<bool> &Drop) {
-  assert(Drop.size() == N && "drop mask must cover every variable");
-  constexpr unsigned Gone = ~0u;
-  std::vector<unsigned> NewIndex(N, Gone);
-  unsigned NewN = 0;
-  for (unsigned I = 0; I < N; ++I)
-    if (!Drop[I])
-      NewIndex[I] = NewN++;
-  // Renumbering is monotone, so surviving keys come out in order and every
-  // insertion lands at the end.
-  std::map<std::pair<unsigned, unsigned>, std::int64_t> NewBounds;
-  for (const auto &[Key, Bound] : Bounds) {
-    unsigned I = NewIndex[Key.first], J = NewIndex[Key.second];
-    if (I != Gone && J != Gone)
-      NewBounds.emplace_hint(NewBounds.end(), std::pair(I, J), Bound);
-  }
-  Bounds = std::move(NewBounds);
-  N = NewN;
-}
-
 bool CowDbm::detach() {
   if (B.use_count() == 1)
     return false;
-  auto Fresh = std::make_shared<DbmShared>(B->M->clone());
+  auto Fresh = std::make_shared<DbmShared>(B->M);
   Fresh->Closed = B->Closed;
   Fresh->Feasible = B->Feasible;
   Fresh->PendingEdge = B->PendingEdge;
@@ -153,19 +132,13 @@ inline std::uint64_t fnvMix(std::uint64_t H, std::uint64_t V) {
 std::uint64_t csdf::dbmFingerprint(const DbmStorage &M) {
   unsigned N = M.size();
   std::uint64_t H = FnvOffset ^ N;
-  if (const DenseDbmStorage *D = M.asDense()) {
-    const std::int64_t *Rows = D->rows();
-    std::size_t Stride = D->rowStride();
-    for (unsigned I = 0; I < N; ++I) {
-      const std::int64_t *Row = Rows + I * Stride;
-      for (unsigned J = 0; J < N; ++J)
-        H = fnvMix(H, static_cast<std::uint64_t>(Row[J]));
-    }
-    return H;
-  }
-  for (unsigned I = 0; I < N; ++I)
+  const std::int64_t *Rows = M.rows();
+  std::size_t Stride = M.rowStride();
+  for (unsigned I = 0; I < N; ++I) {
+    const std::int64_t *Row = Rows + I * Stride;
     for (unsigned J = 0; J < N; ++J)
-      H = fnvMix(H, static_cast<std::uint64_t>(M.get(I, J)));
+      H = fnvMix(H, static_cast<std::uint64_t>(Row[J]));
+  }
   return H;
 }
 
@@ -173,25 +146,9 @@ std::vector<std::int64_t> csdf::dbmSnapshot(const DbmStorage &M) {
   unsigned N = M.size();
   std::vector<std::int64_t> Image;
   Image.reserve(static_cast<size_t>(N) * N);
-  if (const DenseDbmStorage *D = M.asDense()) {
-    const std::int64_t *Rows = D->rows();
-    std::size_t Stride = D->rowStride();
-    for (unsigned I = 0; I < N; ++I)
-      Image.insert(Image.end(), Rows + I * Stride, Rows + I * Stride + N);
-    return Image;
-  }
+  const std::int64_t *Rows = M.rows();
+  std::size_t Stride = M.rowStride();
   for (unsigned I = 0; I < N; ++I)
-    for (unsigned J = 0; J < N; ++J)
-      Image.push_back(M.get(I, J));
+    Image.insert(Image.end(), Rows + I * Stride, Rows + I * Stride + N);
   return Image;
-}
-
-std::unique_ptr<DbmStorage> csdf::makeDbmStorage(DbmBackend Backend) {
-  switch (Backend) {
-  case DbmBackend::Dense:
-    return std::make_unique<DenseDbmStorage>();
-  case DbmBackend::MapBased:
-    return std::make_unique<MapDbmStorage>();
-  }
-  csdf_unreachable("unhandled DbmBackend");
 }

@@ -5,19 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Storage backends for the constraint graph's difference-bound matrix.
-/// Section IX of the paper attributes most of the prototype's cost to
-/// transitive closures over STL-container state and lists "arrays instead
-/// of C++ STL containers" as optimization direction 3. Both variants are
-/// implemented here so the ablation benchmark (E6) can measure the gap:
-///
-///   * DenseDbmStorage — flat contiguous rows (stride >= logical size, so
-///     variable growth is an O(n) fill instead of an O(n^2) re-layout),
-///     arena-pooled buffers, and a per-row occupancy bitmap; exposes a
-///     raw row view that the non-virtual closure kernel
-///     (numeric/ClosureKernel.h) vectorizes over;
-///   * MapDbmStorage   — std::map keyed by (row, col), mirroring the
-///     prototype's container-heavy state representation.
+/// Storage for the constraint graph's difference-bound matrix. Section IX
+/// of the paper attributes most of the prototype's cost to transitive
+/// closures over STL-container state and lists "arrays instead of C++ STL
+/// containers" as optimization direction 3. The matrix here is that
+/// array: flat contiguous rows (stride >= logical size, so variable growth
+/// is an O(n) fill instead of an O(n^2) re-layout), arena-pooled buffers,
+/// and a per-row occupancy bitmap, exposing a raw row view that the
+/// closure kernel (numeric/ClosureKernel.h) vectorizes over. (E5/E6
+/// measured an STL-map matrix 5x slower end to end.)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +24,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -37,7 +32,6 @@
 namespace csdf {
 
 class AnalysisBudget;
-class DenseDbmStorage;
 
 /// The "no constraint" bound. Kept far from the int64 limits so saturated
 /// additions cannot overflow.
@@ -56,39 +50,12 @@ inline std::int64_t dbmAdd(std::int64_t A, std::int64_t B) {
   return A + B;
 }
 
-/// Abstract square matrix of bounds: entry (I, J) is the best known C with
-/// v_I <= v_J + C; DbmInfinity means unconstrained.
-class DbmStorage {
-public:
-  virtual ~DbmStorage() = default;
-
-  virtual std::int64_t get(unsigned I, unsigned J) const = 0;
-  virtual void set(unsigned I, unsigned J, std::int64_t Bound) = 0;
-  /// Grows to \p N variables; new entries are unconstrained.
-  virtual void resize(unsigned N) = 0;
-  virtual unsigned size() const = 0;
-  virtual std::unique_ptr<DbmStorage> clone() const = 0;
-
-  /// Projects out every variable I with \p Drop[I] set (Drop.size() ==
-  /// size()), renumbering the survivors down in their original order. One
-  /// pass over the matrix however many variables go.
-  virtual void removeVars(const std::vector<bool> &Drop) = 0;
-
-  /// Approximate heap bytes held by this matrix, for the AnalysisBudget
-  /// memory ceiling.
-  virtual std::uint64_t byteSize() const = 0;
-
-  /// The flat-kernel discriminator: non-null when this storage is a
-  /// DenseDbmStorage, in which case the closure kernel bypasses virtual
-  /// get/set entirely (one virtual call per closure instead of three per
-  /// matrix element).
-  virtual DenseDbmStorage *asDense() { return nullptr; }
-  virtual const DenseDbmStorage *asDense() const { return nullptr; }
-};
-
-/// Flat row-major array backend (the paper's optimization direction 3).
+/// Square matrix of bounds: entry (I, J) is the best known C with
+/// v_I <= v_J + C; DbmInfinity means unconstrained. The one DBM
+/// representation: a flat row-major array (the paper's optimization
+/// direction 3).
 ///
-/// v2 layout: row I starts at `rows() + I * rowStride()`, with
+/// Layout: row I starts at `rows() + I * rowStride()`, with
 /// rowStride() == allocated capacity >= size(). Keeping the stride at
 /// capacity means growing by one variable (the engine adds variables one
 /// at a time while building cold graphs) only fills the new row/column
@@ -104,28 +71,30 @@ public:
 /// Closure preserves it without maintenance because min-plus updates only
 /// ever write finite bounds into rows that already had one; removeVars()
 /// recomputes it exactly, clearing any stale bits.
-class DenseDbmStorage final : public DbmStorage {
+class DbmStorage {
 public:
-  std::int64_t get(unsigned I, unsigned J) const override {
+  std::int64_t get(unsigned I, unsigned J) const {
     return Data[static_cast<std::size_t>(I) * Cap + J];
   }
-  void set(unsigned I, unsigned J, std::int64_t Bound) override {
+  void set(unsigned I, unsigned J, std::int64_t Bound) {
     Data[static_cast<std::size_t>(I) * Cap + J] = Bound;
     Occ[I] = static_cast<std::uint8_t>(
         Occ[I] | static_cast<std::uint8_t>(I != J && Bound < DbmInfinity));
   }
-  void resize(unsigned NewN) override;
-  unsigned size() const override { return N; }
-  std::unique_ptr<DbmStorage> clone() const override {
-    return std::make_unique<DenseDbmStorage>(*this);
-  }
-  void removeVars(const std::vector<bool> &Drop) override;
-  std::uint64_t byteSize() const override {
+  /// Grows to \p NewN variables; new entries are unconstrained.
+  void resize(unsigned NewN);
+  unsigned size() const { return N; }
+
+  /// Projects out every variable I with \p Drop[I] set (Drop.size() ==
+  /// size()), renumbering the survivors down in their original order. One
+  /// pass over the matrix however many variables go.
+  void removeVars(const std::vector<bool> &Drop);
+
+  /// Approximate heap bytes held by this matrix, for the AnalysisBudget
+  /// memory ceiling.
+  std::uint64_t byteSize() const {
     return Data.capacity() * sizeof(std::int64_t) + Occ.capacity();
   }
-
-  DenseDbmStorage *asDense() override { return this; }
-  const DenseDbmStorage *asDense() const override { return this; }
 
   //===--------------------------------------------------------------------===
   // Flat view for the closure kernel
@@ -151,45 +120,6 @@ private:
   std::vector<std::uint8_t> Occ; ///< N entries.
 };
 
-/// std::map backend modelling the prototype's STL-heavy state (only finite
-/// bounds are stored).
-class MapDbmStorage final : public DbmStorage {
-public:
-  std::int64_t get(unsigned I, unsigned J) const override {
-    auto It = Bounds.find({I, J});
-    return It == Bounds.end() ? DbmInfinity : It->second;
-  }
-  void set(unsigned I, unsigned J, std::int64_t Bound) override {
-    if (Bound >= DbmInfinity)
-      Bounds.erase({I, J});
-    else
-      Bounds[{I, J}] = Bound;
-  }
-  void resize(unsigned NewN) override { N = NewN; }
-  unsigned size() const override { return N; }
-  std::unique_ptr<DbmStorage> clone() const override {
-    return std::make_unique<MapDbmStorage>(*this);
-  }
-  void removeVars(const std::vector<bool> &Drop) override;
-  std::uint64_t byteSize() const override {
-    // Per-node estimate: key + value + rb-tree bookkeeping.
-    return Bounds.size() * 64;
-  }
-
-private:
-  unsigned N = 0;
-  std::map<std::pair<unsigned, unsigned>, std::int64_t> Bounds;
-};
-
-/// Which backend a ConstraintGraph uses.
-enum class DbmBackend {
-  Dense,
-  MapBased,
-};
-
-/// Creates an empty storage of the given backend.
-std::unique_ptr<DbmStorage> makeDbmStorage(DbmBackend Backend);
-
 //===----------------------------------------------------------------------===//
 // Copy-on-write sharing
 //===----------------------------------------------------------------------===//
@@ -201,7 +131,7 @@ std::unique_ptr<DbmStorage> makeDbmStorage(DbmBackend Backend);
 /// represented constraint set without changing it, so sharing the result
 /// is always sound (and is what makes the closure memo's blocks reusable).
 struct DbmShared {
-  std::unique_ptr<DbmStorage> M;
+  DbmStorage M;
   bool Closed = true;
   bool Feasible = true;
   /// Set when exactly one edge was tightened since the last closure, which
@@ -224,8 +154,7 @@ struct DbmShared {
   AnalysisBudget *Accountant = nullptr;
 
   DbmShared() = default;
-  explicit DbmShared(std::unique_ptr<DbmStorage> Storage)
-      : M(std::move(Storage)) {}
+  explicit DbmShared(DbmStorage Storage) : M(std::move(Storage)) {}
   ~DbmShared();
 
   DbmShared(const DbmShared &) = delete;
@@ -239,14 +168,13 @@ struct DbmShared {
 };
 
 /// Copy-on-write handle to a DbmShared block. Copying a handle is O(1);
-/// the matrix is cloned only when a handle actually mutates while others
+/// the matrix is copied only when a handle actually mutates while others
 /// (or the closure memo) still reference the block. This is what turns the
 /// pCFG engine's pervasive state copies (split, join, widen, match) from
 /// O(n^2) deep copies into pointer bumps.
 class CowDbm {
 public:
-  explicit CowDbm(DbmBackend Backend)
-      : B(std::make_shared<DbmShared>(makeDbmStorage(Backend))) {}
+  CowDbm() : B(std::make_shared<DbmShared>()) {}
 
   CowDbm(const CowDbm &) = default;
   CowDbm &operator=(const CowDbm &) = default;
@@ -259,8 +187,8 @@ public:
   /// True when no other handle (or memo entry) shares the block.
   bool unique() const { return B.use_count() == 1; }
 
-  /// Mutable access for state-changing operations: clones the block first
-  /// when it is shared. Returns true when a clone (detach) happened.
+  /// Mutable access for state-changing operations: copies the block first
+  /// when it is shared. Returns true when a copy (detach) happened.
   bool detach();
 
   /// Mutable block for detach-free writes. Only valid for operations that
@@ -288,9 +216,8 @@ private:
 
 /// 64-bit FNV-1a fingerprint of \p M's contents (size + every bound), the
 /// closure-memo key. Collisions are tolerated: memo hits verify the full
-/// pre-closure image before adopting a result. Dense storages hash their
-/// flat rows directly; the value is layout-independent (row-major logical
-/// order), so it is unchanged from the virtual-dispatch implementation.
+/// pre-closure image before adopting a result. Hashes the flat rows in
+/// row-major logical order, so the value is independent of the row stride.
 std::uint64_t dbmFingerprint(const DbmStorage &M);
 
 /// Row-major snapshot of every bound in \p M, the collision-proof part of

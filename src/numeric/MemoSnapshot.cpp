@@ -91,12 +91,11 @@ std::string csdf::serializeClosureMemo(const ClosureMemo &Memo,
   putU32(Payload, MemoSnapshotFormatVersion);
   std::uint32_t Count = 0;
   std::string Entries;
-  Memo.forEach([&](std::uint64_t Key, DbmBackend Backend,
-                   const std::vector<std::int64_t> &Pre,
+  Memo.forEach([&](std::uint64_t Key, const std::vector<std::int64_t> &Pre,
                    const DbmShared &Closed) {
-    unsigned N = Closed.M->size();
+    unsigned N = Closed.M.size();
     putU64(Entries, Key);
-    Entries.push_back(static_cast<char>(Backend));
+    Entries.push_back(static_cast<char>(MemoSnapshotBackendByte));
     Entries.push_back(static_cast<char>(Closed.Feasible ? 1 : 0));
     putU32(Entries, static_cast<std::uint32_t>(Pre.size()));
     for (std::int64_t B : Pre)
@@ -105,7 +104,7 @@ std::string csdf::serializeClosureMemo(const ClosureMemo &Memo,
     for (unsigned I = 0; I < N; ++I)
       for (unsigned J = 0; J < N; ++J)
         putU64(Entries,
-               static_cast<std::uint64_t>(Closed.M->get(I, J)));
+               static_cast<std::uint64_t>(Closed.M.get(I, J)));
     ++Count;
   });
   putU32(Payload, Count);
@@ -135,7 +134,6 @@ bool csdf::adoptClosureMemo(const std::string &Bytes,
   // halfway must contribute nothing, not a prefix.
   struct Decoded {
     std::uint64_t Key;
-    DbmBackend Backend;
     bool Feasible;
     std::vector<std::int64_t> Pre;
     unsigned N;
@@ -152,12 +150,10 @@ bool csdf::adoptClosureMemo(const std::string &Bytes,
       ++Stats.Rejected;
       return false;
     }
-    if (Backend != static_cast<std::uint8_t>(DbmBackend::Dense) &&
-        Backend != static_cast<std::uint8_t>(DbmBackend::MapBased)) {
+    if (Backend != MemoSnapshotBackendByte) {
       ++Stats.Rejected;
       return false;
     }
-    D.Backend = static_cast<DbmBackend>(Backend);
     D.Feasible = Feasible != 0;
     D.Pre.reserve(PreLen);
     for (std::uint32_t I = 0; I < PreLen; ++I) {
@@ -165,7 +161,11 @@ bool csdf::adoptClosureMemo(const std::string &Bytes,
       R.u64(V); // cannot fail: length pre-checked by take() above
       D.Pre.push_back(static_cast<std::int64_t>(V));
     }
+    // The pre-image must be the n*n snapshot of the closed matrix: a
+    // graph whose own snapshot equals it would otherwise adopt a block
+    // with fewer rows and index it out of bounds by its own size.
     if (!R.u32(N) || N > 4096 ||
+        PreLen != static_cast<std::uint64_t>(N) * N ||
         !R.take(static_cast<std::size_t>(N) * N * 8)) {
       ++Stats.Rejected;
       return false;
@@ -185,18 +185,18 @@ bool csdf::adoptClosureMemo(const std::string &Bytes,
   }
 
   for (Decoded &D : Entries) {
-    auto Block = std::make_shared<DbmShared>(makeDbmStorage(D.Backend));
-    Block->M->resize(D.N);
+    auto Block = std::make_shared<DbmShared>();
+    Block->M.resize(D.N);
     for (unsigned I = 0; I < D.N; ++I)
       for (unsigned J = 0; J < D.N; ++J)
-        Block->M->set(I, J, D.Bounds[static_cast<std::size_t>(I) * D.N + J]);
+        Block->M.set(I, J, D.Bounds[static_cast<std::size_t>(I) * D.N + J]);
     // Adopted blocks are closed by construction (they were snapshots of
     // closed blocks); the closed-shared-block invariant then keeps every
     // later reader from mutating them in place.
     Block->Closed = true;
     Block->Feasible = D.Feasible;
     Block->EverClosed = true;
-    Memo.insert(D.Key, D.Backend, std::move(D.Pre), std::move(Block));
+    Memo.insert(D.Key, std::move(D.Pre), std::move(Block));
     ++Stats.Adopted;
   }
   return true;

@@ -27,15 +27,16 @@
 ///   u32 format version (MemoSnapshotFormatVersion)
 ///   u32 entry count
 ///   per entry:
-///     u64 fingerprint key        u8 backend (DbmBackend)
+///     u64 fingerprint key        u8 backend (always 0)
 ///     u8 feasible                u32 pre-image length (n*n)
 ///     i64[n*n] pre-image         u32 closed matrix size n
 ///     i64[n*n] closed bounds
 ///
 /// Every decode step is bounds-checked; any violation (truncation, a
-/// count past the buffer, an unknown backend) rejects the *whole* file —
-/// a snapshot is a cache, and a suspect cache is worth less than no
-/// cache. Corrupt files are moved to `<dir>/quarantine/` like the
+/// count past the buffer, a nonzero backend byte, a pre-image that is not
+/// the n*n image of its closed matrix) rejects the *whole* file — a
+/// snapshot is a cache, and a suspect cache is worth less than no cache.
+/// Corrupt files are moved to `<dir>/quarantine/` like the
 /// store's records, keeping one corruption story across both artifacts.
 ///
 /// Writes are atomic (temp + fsync + rename) for the same reason the
@@ -55,6 +56,12 @@
 namespace csdf {
 
 inline constexpr std::uint32_t MemoSnapshotFormatVersion = 1;
+
+/// The per-entry backend byte. Format version 1 once told the flat-array
+/// and std::map DBM backends apart; only the flat array remains, so the
+/// byte is always 0 and any other value rejects the file. Keeping it
+/// lets snapshots written before the map backend was removed still adopt.
+inline constexpr std::uint8_t MemoSnapshotBackendByte = 0;
 
 /// Counters for one save or adopt, mirrored into `csdf serve` stats.
 struct MemoSnapshotStats {

@@ -2596,7 +2596,7 @@ void Engine::drainSequential() {
 /// Seeds the initial state and drains the worklist (the Figure 4 loop).
 /// Throws BudgetExceeded/EngineError; run() owns recovery.
 void Engine::explore() {
-  PcfgState Init(Opts.Backend);
+  PcfgState Init;
   ProcSetEntry All;
   All.Name = "p0";
   All.Range = ProcRange::all();
@@ -2607,7 +2607,7 @@ void Engine::explore() {
   // engine ever touches share them. The facade pre-shares its warm table
   // across runs, and batch threads mode shares one memo across sessions
   // to amortize closure work (see AnalysisOptions).
-  Init.Cg = ConstraintGraph(Opts.Backend, Stats,
+  Init.Cg = ConstraintGraph(Stats,
                             Opts.SharedSymbols ? Opts.SharedSymbols
                                                : std::make_shared<SymbolTable>(),
                             Opts.SharedMemo ? Opts.SharedMemo

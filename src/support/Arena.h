@@ -7,7 +7,7 @@
 /// \file
 /// A thread-local, size-bucketed buffer pool backing the numeric core's
 /// hot allocations (DBM matrices, closure scratch). The pCFG engine
-/// creates and destroys thousands of short-lived DenseDbmStorage buffers
+/// creates and destroys thousands of short-lived DbmStorage buffers
 /// per analysis — one per cold graph build, join, and copy-on-write
 /// detach — and Section IX's "arrays instead of C++ STL containers"
 /// direction is only half captured if every array still costs a trip to
@@ -47,7 +47,7 @@ std::size_t arenaCachedBytes();
 /// Frees every buffer cached by the calling thread's pool. Test hook.
 void arenaDrain();
 
-/// Allocator adapter so standard containers (the DenseDbmStorage matrix)
+/// Allocator adapter so standard containers (the DbmStorage matrix)
 /// draw from the arena. Stateless: all instances are interchangeable.
 template <typename T> struct PoolAllocator {
   using value_type = T;

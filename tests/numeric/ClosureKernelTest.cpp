@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Property suite for the v2 flat closure kernels. The v1 naive triple
-// loop (kernel::fullCloseRef / closeAfterEdgeRef, virtual get/set) is
+// loop (kernel::fullCloseRef / closeAfterEdgeRef, element-wise get/set) is
 // kept as the test-only oracle: on every random matrix the blocked/
 // sparse flat kernel must agree with it entry for entry whenever the
 // system is feasible, and must report infeasibility on exactly the same
@@ -43,8 +43,8 @@ std::vector<std::int64_t> contents(const DbmStorage &M) {
 /// Dense matrix initialized like ConstraintGraph does it: zero diagonal,
 /// everything else unconstrained. Grown one variable at a time to also
 /// exercise the capacity-stride resize path the engine uses.
-DenseDbmStorage makeDense(unsigned N) {
-  DenseDbmStorage M;
+DbmStorage makeDense(unsigned N) {
+  DbmStorage M;
   for (unsigned I = 1; I <= N; ++I)
     M.resize(I);
   for (unsigned I = 0; I < N; ++I)
@@ -54,9 +54,9 @@ DenseDbmStorage makeDense(unsigned N) {
 
 /// Random constraint matrix over N variables. Density is the probability
 /// an off-diagonal entry carries a finite bound; Lo/Hi the bound range.
-DenseDbmStorage randomMatrix(std::mt19937 &Rng, unsigned N, double Density,
+DbmStorage randomMatrix(std::mt19937 &Rng, unsigned N, double Density,
                              std::int64_t Lo, std::int64_t Hi) {
-  DenseDbmStorage M = makeDense(N);
+  DbmStorage M = makeDense(N);
   std::uniform_real_distribution<double> Coin(0.0, 1.0);
   std::uniform_int_distribution<std::int64_t> Bound(Lo, Hi);
   for (unsigned I = 0; I < N; ++I)
@@ -68,16 +68,16 @@ DenseDbmStorage randomMatrix(std::mt19937 &Rng, unsigned N, double Density,
 
 /// Runs the flat kernel and the naive oracle on identical copies and
 /// checks agreement. Returns the shared feasibility verdict.
-bool checkAgainstOracle(const DenseDbmStorage &Input) {
-  DenseDbmStorage Flat = Input;
-  auto RefPtr = Input.clone();
+bool checkAgainstOracle(const DbmStorage &Input) {
+  DbmStorage Flat = Input;
+  DbmStorage Ref = Input;
 
-  bool FlatFeasible = kernel::fullCloseDense(Flat);
-  bool RefFeasible = kernel::fullCloseRef(*RefPtr);
+  bool FlatFeasible = kernel::fullClose(Flat);
+  bool RefFeasible = kernel::fullCloseRef(Ref);
 
   EXPECT_EQ(FlatFeasible, RefFeasible);
   if (FlatFeasible && RefFeasible) {
-    EXPECT_EQ(contents(Flat), contents(*RefPtr));
+    EXPECT_EQ(contents(Flat), contents(Ref));
   }
   return FlatFeasible && RefFeasible;
 }
@@ -102,7 +102,7 @@ TEST(ClosureKernelTest, RandomDenseMatricesMatchOracle) {
     for (int Round = 0; Round < 8; ++Round) {
       // Mixed-sign bounds at moderate density: a healthy share of both
       // feasible and negative-cycle systems.
-      DenseDbmStorage M = randomMatrix(Rng, N, 0.3, -20, 40);
+      DbmStorage M = randomMatrix(Rng, N, 0.3, -20, 40);
       (checkAgainstOracle(M) ? Feasible : Infeasible)++;
     }
   // The sweep must actually exercise both verdicts (trivially true for
@@ -117,7 +117,7 @@ TEST(ClosureKernelTest, SparseMatricesMatchOracle) {
     for (int Round = 0; Round < 4; ++Round) {
       // Mostly-unconstrained: most rows empty, so the occupancy skip is
       // the code path under test.
-      DenseDbmStorage M = randomMatrix(Rng, N, 0.02, -5, 30);
+      DbmStorage M = randomMatrix(Rng, N, 0.02, -5, 30);
       checkAgainstOracle(M);
     }
 }
@@ -125,18 +125,18 @@ TEST(ClosureKernelTest, SparseMatricesMatchOracle) {
 TEST(ClosureKernelTest, NonNegativeMatricesStayFeasible) {
   std::mt19937 Rng(4242);
   for (unsigned N : KernelSizes) {
-    DenseDbmStorage M = randomMatrix(Rng, N, 0.5, 0, 100);
+    DbmStorage M = randomMatrix(Rng, N, 0.5, 0, 100);
     EXPECT_TRUE(checkAgainstOracle(M));
   }
 }
 
 TEST(ClosureKernelTest, DetectsNegativeCycle) {
   // v0 <= v1 - 3, v1 <= v0 + 2: cycle weight -1.
-  DenseDbmStorage M = makeDense(8);
+  DbmStorage M = makeDense(8);
   M.set(0, 1, -3);
   M.set(1, 0, 2);
-  DenseDbmStorage Ref = M;
-  EXPECT_FALSE(kernel::fullCloseDense(M));
+  DbmStorage Ref = M;
+  EXPECT_FALSE(kernel::fullClose(M));
   EXPECT_FALSE(kernel::fullCloseRef(Ref));
 }
 
@@ -146,7 +146,7 @@ TEST(ClosureKernelTest, SaturationAtInfinityEdges) {
   // bounds clamp to DbmInfinity exactly like dbmAdd.
   std::mt19937 Rng(99);
   for (int Round = 0; Round < 8; ++Round) {
-    DenseDbmStorage M = makeDense(40);
+    DbmStorage M = makeDense(40);
     std::uniform_int_distribution<unsigned> Var(0, 39);
     std::uniform_int_distribution<int> Kind(0, 2);
     for (int E = 0; E < 60; ++E) {
@@ -168,17 +168,17 @@ TEST(ClosureKernelTest, SaturationAtInfinityEdges) {
     if (!checkAgainstOracle(M))
       continue;
     // Saturated closure must never exceed the sentinel.
-    DenseDbmStorage Closed = M;
-    ASSERT_TRUE(kernel::fullCloseDense(Closed));
+    DbmStorage Closed = M;
+    ASSERT_TRUE(kernel::fullClose(Closed));
     for (std::int64_t V : contents(Closed))
       EXPECT_LE(V, DbmInfinity);
   }
 }
 
 /// Matrix with random entries drawn from \p Pool (4N off-diagonal sets).
-DenseDbmStorage poolMatrix(std::mt19937 &Rng, unsigned N,
+DbmStorage poolMatrix(std::mt19937 &Rng, unsigned N,
                            const std::vector<std::int64_t> &Pool) {
-  DenseDbmStorage M = makeDense(N);
+  DbmStorage M = makeDense(N);
   std::uniform_int_distribution<unsigned> Var(0, N - 1);
   std::uniform_int_distribution<std::size_t> Pick(0, Pool.size() - 1);
   for (unsigned E = 0; E < 4 * N; ++E) {
@@ -206,11 +206,11 @@ TEST(ClosureKernelTest, EntriesAboveInfinityReadAsUnconstrained) {
       5, 40, DbmInfinity - 1, 2 * DbmInfinity,
       std::numeric_limits<std::int64_t>::max()};
   for (unsigned N : {kernel::ClosureTile + 1, 64u}) {
-    DenseDbmStorage Flat = poolMatrix(Rng, N, Pool);
-    auto Ref = Flat.clone();
-    ASSERT_TRUE(kernel::fullCloseDense(Flat));
-    ASSERT_TRUE(kernel::fullCloseRef(*Ref));
-    EXPECT_EQ(Normalized(Flat), Normalized(*Ref));
+    DbmStorage Flat = poolMatrix(Rng, N, Pool);
+    DbmStorage Ref = Flat;
+    ASSERT_TRUE(kernel::fullClose(Flat));
+    ASSERT_TRUE(kernel::fullCloseRef(Ref));
+    EXPECT_EQ(Normalized(Flat), Normalized(Ref));
   }
 }
 
@@ -235,23 +235,23 @@ TEST(ClosureKernelTest, OutOfRangeEntriesNeverWrap) {
   std::mt19937 Rng(4711);
   for (unsigned N : {kernel::ClosureTile + 1, 64u}) {
     for (int Round = 0; Round < 4; ++Round) {
-      DenseDbmStorage M = poolMatrix(Rng, N, Pool);
-      DenseDbmStorage Flat = M;
-      auto Ref = M.clone();
-      kernel::fullCloseDense(Flat);
-      kernel::fullCloseRef(*Ref);
+      DbmStorage M = poolMatrix(Rng, N, Pool);
+      DbmStorage Flat = M;
+      DbmStorage Ref = M;
+      kernel::fullClose(Flat);
+      kernel::fullCloseRef(Ref);
       ExpectNoWrap(M, Flat);
-      ExpectNoWrap(M, *Ref);
+      ExpectNoWrap(M, Ref);
 
       // Incremental repair through an out-of-range edge.
       unsigned I = Round % N, J = (Round + 1) % N;
       M.set(I, J, Min / 2);
-      DenseDbmStorage FlatEdge = M;
-      auto RefEdge = M.clone();
-      kernel::closeAfterEdgeDense(FlatEdge, I, J);
-      kernel::closeAfterEdgeRef(*RefEdge, I, J);
+      DbmStorage FlatEdge = M;
+      DbmStorage RefEdge = M;
+      kernel::closeAfterEdge(FlatEdge, I, J);
+      kernel::closeAfterEdgeRef(RefEdge, I, J);
       ExpectNoWrap(M, FlatEdge);
-      ExpectNoWrap(M, *RefEdge);
+      ExpectNoWrap(M, RefEdge);
     }
   }
 }
@@ -259,10 +259,10 @@ TEST(ClosureKernelTest, OutOfRangeEntriesNeverWrap) {
 TEST(ClosureKernelTest, ClosureIsIdempotent) {
   std::mt19937 Rng(31337);
   for (unsigned N : KernelSizes) {
-    DenseDbmStorage M = randomMatrix(Rng, N, 0.3, 0, 50);
-    ASSERT_TRUE(kernel::fullCloseDense(M));
-    DenseDbmStorage Again = M;
-    ASSERT_TRUE(kernel::fullCloseDense(Again));
+    DbmStorage M = randomMatrix(Rng, N, 0.3, 0, 50);
+    ASSERT_TRUE(kernel::fullClose(M));
+    DbmStorage Again = M;
+    ASSERT_TRUE(kernel::fullClose(Again));
     EXPECT_EQ(contents(M), contents(Again));
   }
 }
@@ -277,8 +277,8 @@ TEST(ClosureKernelTest, EdgeRepairMatchesOracle) {
     for (int Round = 0; Round < 8; ++Round) {
       // Start from a closed feasible matrix, then tighten one edge — the
       // warm-path pattern ConstraintGraph::addEdge produces.
-      DenseDbmStorage Base = randomMatrix(Rng, N, 0.3, 0, 50);
-      ASSERT_TRUE(kernel::fullCloseDense(Base));
+      DbmStorage Base = randomMatrix(Rng, N, 0.3, 0, 50);
+      ASSERT_TRUE(kernel::fullClose(Base));
 
       std::uniform_int_distribution<unsigned> Var(0, N - 1);
       unsigned I = Var(Rng), J = Var(Rng);
@@ -290,16 +290,16 @@ TEST(ClosureKernelTest, EdgeRepairMatchesOracle) {
         continue; // addEdge only repairs on an actual tightening
       Base.set(I, J, Tight);
 
-      DenseDbmStorage Flat = Base;
-      auto Ref = Base.clone();
-      bool FlatFeasible = kernel::closeAfterEdgeDense(Flat, I, J);
-      bool RefFeasible = kernel::closeAfterEdgeRef(*Ref, I, J);
+      DbmStorage Flat = Base;
+      DbmStorage Ref = Base;
+      bool FlatFeasible = kernel::closeAfterEdge(Flat, I, J);
+      bool RefFeasible = kernel::closeAfterEdgeRef(Ref, I, J);
       EXPECT_EQ(FlatFeasible, RefFeasible);
       if (FlatFeasible) {
-        EXPECT_EQ(contents(Flat), contents(*Ref));
+        EXPECT_EQ(contents(Flat), contents(Ref));
         // Repair of a single tightened edge must equal a full re-closure.
-        DenseDbmStorage Full = Base;
-        ASSERT_TRUE(kernel::fullCloseDense(Full));
+        DbmStorage Full = Base;
+        ASSERT_TRUE(kernel::fullClose(Full));
         EXPECT_EQ(contents(Flat), contents(Full));
       }
     }
@@ -307,36 +307,13 @@ TEST(ClosureKernelTest, EdgeRepairMatchesOracle) {
 }
 
 TEST(ClosureKernelTest, EdgeRepairDetectsNegativeCycle) {
-  DenseDbmStorage M = makeDense(16);
+  DbmStorage M = makeDense(16);
   M.set(3, 7, 5);
-  ASSERT_TRUE(kernel::fullCloseDense(M));
+  ASSERT_TRUE(kernel::fullClose(M));
   M.set(7, 3, -6); // closes the cycle at weight -1
-  DenseDbmStorage Ref = M;
-  EXPECT_FALSE(kernel::closeAfterEdgeDense(M, 7, 3));
+  DbmStorage Ref = M;
+  EXPECT_FALSE(kernel::closeAfterEdge(M, 7, 3));
   EXPECT_FALSE(kernel::closeAfterEdgeRef(Ref, 7, 3));
-}
-
-//===----------------------------------------------------------------------===//
-// Dispatch
-//===----------------------------------------------------------------------===//
-
-TEST(ClosureKernelTest, DispatchRoutesDenseToFlatKernel) {
-  // fullClose on a DbmStorage& must behave identically whether the
-  // dynamic type is dense (flat kernel) or map (reference kernel).
-  std::mt19937 Rng(5150);
-  DenseDbmStorage Dense = randomMatrix(Rng, 48, 0.3, -10, 40);
-  MapDbmStorage Map;
-  Map.resize(48);
-  for (unsigned I = 0; I < 48; ++I)
-    for (unsigned J = 0; J < 48; ++J)
-      Map.set(I, J, Dense.get(I, J));
-
-  bool DenseFeasible = kernel::fullClose(Dense);
-  bool MapFeasible = kernel::fullClose(Map);
-  EXPECT_EQ(DenseFeasible, MapFeasible);
-  if (DenseFeasible) {
-    EXPECT_EQ(contents(Dense), contents(Map));
-  }
 }
 
 } // namespace

@@ -8,19 +8,18 @@ using namespace csdf;
 
 namespace {
 
-/// Both backends must behave identically; every test runs on both.
-class ConstraintGraphTest : public ::testing::TestWithParam<DbmBackend> {
+class ConstraintGraphTest : public ::testing::Test {
 protected:
-  ConstraintGraph make() { return ConstraintGraph(GetParam()); }
+  ConstraintGraph make() { return ConstraintGraph(); }
 };
 
-TEST_P(ConstraintGraphTest, EmptyGraphIsFeasibleTop) {
+TEST_F(ConstraintGraphTest, EmptyGraphIsFeasibleTop) {
   ConstraintGraph G = make();
   EXPECT_TRUE(G.isFeasible());
   EXPECT_EQ(G.numVars(), 0u);
 }
 
-TEST_P(ConstraintGraphTest, TransitivityIsClosed) {
+TEST_F(ConstraintGraphTest, TransitivityIsClosed) {
   ConstraintGraph G = make();
   G.addLE("a", "b", 1); // a <= b + 1
   G.addLE("b", "c", 2); // b <= c + 2
@@ -28,28 +27,28 @@ TEST_P(ConstraintGraphTest, TransitivityIsClosed) {
   EXPECT_FALSE(G.provesLE(LinearExpr("a", 0), LinearExpr("c", 2)));
 }
 
-TEST_P(ConstraintGraphTest, ContradictionIsInfeasible) {
+TEST_F(ConstraintGraphTest, ContradictionIsInfeasible) {
   ConstraintGraph G = make();
   G.addUpperBound("x", 3);
   G.addLowerBound("x", 5);
   EXPECT_FALSE(G.isFeasible());
 }
 
-TEST_P(ConstraintGraphTest, InfeasibleProvesEverything) {
+TEST_F(ConstraintGraphTest, InfeasibleProvesEverything) {
   ConstraintGraph G = make();
   G.addUpperBound("x", 0);
   G.addLowerBound("x", 1);
   EXPECT_TRUE(G.provesLE(LinearExpr(100), LinearExpr(0)));
 }
 
-TEST_P(ConstraintGraphTest, ConstValueDetection) {
+TEST_F(ConstraintGraphTest, ConstValueDetection) {
   ConstraintGraph G = make();
   G.addEQ(LinearExpr("x", 0), LinearExpr(5));
   EXPECT_EQ(G.constValue("x"), 5);
   EXPECT_FALSE(G.constValue("y").has_value());
 }
 
-TEST_P(ConstraintGraphTest, EqualityPropagatesThroughChain) {
+TEST_F(ConstraintGraphTest, EqualityPropagatesThroughChain) {
   ConstraintGraph G = make();
   G.addEQ(LinearExpr("x", 0), LinearExpr("y", 1)); // x = y + 1
   G.addEQ(LinearExpr("y", 0), LinearExpr(4));
@@ -57,13 +56,13 @@ TEST_P(ConstraintGraphTest, EqualityPropagatesThroughChain) {
   EXPECT_EQ(G.offsetBetween("x", "y"), 1);
 }
 
-TEST_P(ConstraintGraphTest, SameVarComparisonsNeedNoGraph) {
+TEST_F(ConstraintGraphTest, SameVarComparisonsNeedNoGraph) {
   ConstraintGraph G = make();
   EXPECT_TRUE(G.provesLE(LinearExpr("q", 1), LinearExpr("q", 2)));
   EXPECT_FALSE(G.provesLE(LinearExpr("q", 2), LinearExpr("q", 1)));
 }
 
-TEST_P(ConstraintGraphTest, AssignConstant) {
+TEST_F(ConstraintGraphTest, AssignConstant) {
   ConstraintGraph G = make();
   G.assign("x", LinearExpr(7));
   EXPECT_EQ(G.constValue("x"), 7);
@@ -71,7 +70,7 @@ TEST_P(ConstraintGraphTest, AssignConstant) {
   EXPECT_EQ(G.constValue("x"), 9);
 }
 
-TEST_P(ConstraintGraphTest, AssignVarPlusConst) {
+TEST_F(ConstraintGraphTest, AssignVarPlusConst) {
   ConstraintGraph G = make();
   G.assign("y", LinearExpr(3));
   G.assign("x", LinearExpr("y", 2));
@@ -81,21 +80,21 @@ TEST_P(ConstraintGraphTest, AssignVarPlusConst) {
   EXPECT_EQ(G.constValue("x"), 5);
 }
 
-TEST_P(ConstraintGraphTest, SelfIncrementShiftsExactly) {
+TEST_F(ConstraintGraphTest, SelfIncrementShiftsExactly) {
   ConstraintGraph G = make();
   G.assign("i", LinearExpr(1));
   G.assign("i", LinearExpr("i", 1)); // i := i + 1
   EXPECT_EQ(G.constValue("i"), 2);
 }
 
-TEST_P(ConstraintGraphTest, SelfIncrementPreservesRelations) {
+TEST_F(ConstraintGraphTest, SelfIncrementPreservesRelations) {
   ConstraintGraph G = make();
   G.addEQ(LinearExpr("i", 0), LinearExpr("n", 0)); // i == n
   G.assign("i", LinearExpr("i", 1));
   EXPECT_EQ(G.offsetBetween("i", "n"), 1); // i == n + 1
 }
 
-TEST_P(ConstraintGraphTest, HavocForgetsOnlyOneVariable) {
+TEST_F(ConstraintGraphTest, HavocForgetsOnlyOneVariable) {
   ConstraintGraph G = make();
   G.assign("x", LinearExpr(1));
   G.assign("y", LinearExpr(2));
@@ -104,7 +103,7 @@ TEST_P(ConstraintGraphTest, HavocForgetsOnlyOneVariable) {
   EXPECT_EQ(G.constValue("y"), 2);
 }
 
-TEST_P(ConstraintGraphTest, HavocKeepsImpliedFacts) {
+TEST_F(ConstraintGraphTest, HavocKeepsImpliedFacts) {
   ConstraintGraph G = make();
   G.addLE("a", "b", 0);
   G.addLE("b", "c", 0);
@@ -113,7 +112,7 @@ TEST_P(ConstraintGraphTest, HavocKeepsImpliedFacts) {
   EXPECT_TRUE(G.provesLE(LinearExpr("a", 0), LinearExpr("c", 0)));
 }
 
-TEST_P(ConstraintGraphTest, RemoveVarProjects) {
+TEST_F(ConstraintGraphTest, RemoveVarProjects) {
   ConstraintGraph G = make();
   G.addLE("a", "b", 1);
   G.addLE("b", "c", 1);
@@ -122,7 +121,7 @@ TEST_P(ConstraintGraphTest, RemoveVarProjects) {
   EXPECT_TRUE(G.provesLE(LinearExpr("a", 0), LinearExpr("c", 2)));
 }
 
-TEST_P(ConstraintGraphTest, JoinKeepsCommonFacts) {
+TEST_F(ConstraintGraphTest, JoinKeepsCommonFacts) {
   ConstraintGraph A = make();
   A.assign("x", LinearExpr(1));
   ConstraintGraph B = make();
@@ -135,7 +134,7 @@ TEST_P(ConstraintGraphTest, JoinKeepsCommonFacts) {
   EXPECT_TRUE(A.provesLE(LinearExpr(1), LinearExpr("x", 0)));
 }
 
-TEST_P(ConstraintGraphTest, JoinWithInfeasibleIsIdentity) {
+TEST_F(ConstraintGraphTest, JoinWithInfeasibleIsIdentity) {
   ConstraintGraph A = make();
   A.assign("x", LinearExpr(1));
   ConstraintGraph Bot = make();
@@ -153,7 +152,7 @@ TEST_P(ConstraintGraphTest, JoinWithInfeasibleIsIdentity) {
   EXPECT_EQ(Bot2.constValue("y"), 2);
 }
 
-TEST_P(ConstraintGraphTest, JoinUnionOfVariableSets) {
+TEST_F(ConstraintGraphTest, JoinUnionOfVariableSets) {
   ConstraintGraph A = make();
   A.assign("x", LinearExpr(1));
   ConstraintGraph B = make();
@@ -164,7 +163,7 @@ TEST_P(ConstraintGraphTest, JoinUnionOfVariableSets) {
   EXPECT_FALSE(A.constValue("y").has_value());
 }
 
-TEST_P(ConstraintGraphTest, MeetConjoins) {
+TEST_F(ConstraintGraphTest, MeetConjoins) {
   ConstraintGraph A = make();
   A.addUpperBound("x", 5);
   ConstraintGraph B = make();
@@ -173,7 +172,7 @@ TEST_P(ConstraintGraphTest, MeetConjoins) {
   EXPECT_EQ(A.constValue("x"), 5);
 }
 
-TEST_P(ConstraintGraphTest, MeetCanBecomeInfeasible) {
+TEST_F(ConstraintGraphTest, MeetCanBecomeInfeasible) {
   ConstraintGraph A = make();
   A.addUpperBound("x", 1);
   ConstraintGraph B = make();
@@ -182,7 +181,7 @@ TEST_P(ConstraintGraphTest, MeetCanBecomeInfeasible) {
   EXPECT_FALSE(A.isFeasible());
 }
 
-TEST_P(ConstraintGraphTest, WideningDropsUnstableBounds) {
+TEST_F(ConstraintGraphTest, WideningDropsUnstableBounds) {
   ConstraintGraph Old = make();
   Old.assign("i", LinearExpr(1)); // i == 1
   ConstraintGraph New = make();
@@ -195,7 +194,7 @@ TEST_P(ConstraintGraphTest, WideningDropsUnstableBounds) {
   EXPECT_FALSE(Old.provesLE(LinearExpr("i", 0), LinearExpr(1000000)));
 }
 
-TEST_P(ConstraintGraphTest, WideningReachesFixpoint) {
+TEST_F(ConstraintGraphTest, WideningReachesFixpoint) {
   // Simulating i = 1; while ... i = i + 1: widening must converge.
   ConstraintGraph State = make();
   State.assign("i", LinearExpr(1));
@@ -212,7 +211,7 @@ TEST_P(ConstraintGraphTest, WideningReachesFixpoint) {
   EXPECT_TRUE(State.provesLE(LinearExpr(1), LinearExpr("i", 0)));
 }
 
-TEST_P(ConstraintGraphTest, ImpliesIsReflexiveAndOrdered) {
+TEST_F(ConstraintGraphTest, ImpliesIsReflexiveAndOrdered) {
   ConstraintGraph A = make();
   A.assign("x", LinearExpr(5));
   ConstraintGraph B = make();
@@ -222,7 +221,7 @@ TEST_P(ConstraintGraphTest, ImpliesIsReflexiveAndOrdered) {
   EXPECT_FALSE(B.implies(A));
 }
 
-TEST_P(ConstraintGraphTest, EquivalentFormsFindsAliases) {
+TEST_F(ConstraintGraphTest, EquivalentFormsFindsAliases) {
   ConstraintGraph G = make();
   G.addEQ(LinearExpr("ub", 0), LinearExpr("i", -1)); // ub == i - 1
   G.addEQ(LinearExpr("i", 0), LinearExpr(3));
@@ -237,7 +236,7 @@ TEST_P(ConstraintGraphTest, EquivalentFormsFindsAliases) {
             Forms.end());
 }
 
-TEST_P(ConstraintGraphTest, RenameVars) {
+TEST_F(ConstraintGraphTest, RenameVars) {
   ConstraintGraph G = make();
   G.assign("x", LinearExpr(4));
   G.renameVars({{"x", "z"}});
@@ -245,7 +244,7 @@ TEST_P(ConstraintGraphTest, RenameVars) {
   EXPECT_EQ(G.constValue("z"), 4);
 }
 
-TEST_P(ConstraintGraphTest, SwapRename) {
+TEST_F(ConstraintGraphTest, SwapRename) {
   ConstraintGraph G = make();
   G.assign("a", LinearExpr(1));
   G.assign("b", LinearExpr(2));
@@ -254,16 +253,16 @@ TEST_P(ConstraintGraphTest, SwapRename) {
   EXPECT_EQ(G.constValue("b"), 1);
 }
 
-TEST_P(ConstraintGraphTest, StrMentionsConstraints) {
+TEST_F(ConstraintGraphTest, StrMentionsConstraints) {
   ConstraintGraph G = make();
   G.addUpperBound("x", 3);
   std::string S = G.str();
   EXPECT_NE(S.find("x"), std::string::npos);
 }
 
-TEST_P(ConstraintGraphTest, StatsCountClosures) {
+TEST_F(ConstraintGraphTest, StatsCountClosures) {
   StatsRegistry Local;
-  ConstraintGraph G(GetParam(), &Local);
+  ConstraintGraph G(&Local);
   G.addLE("a", "b", 0);
   G.isFeasible(); // Triggers one closure (incremental: single edge).
   G.addLE("b", "c", 0);
@@ -274,7 +273,7 @@ TEST_P(ConstraintGraphTest, StatsCountClosures) {
             0);
 }
 
-TEST_P(ConstraintGraphTest, LoopCounterScenarioFromFigure5) {
+TEST_F(ConstraintGraphTest, LoopCounterScenarioFromFigure5) {
   // Models the exchange-with-root loop head state: i is the loop counter,
   // the released receiver block is [1 .. i-1] after the increment.
   ConstraintGraph G = make();
@@ -288,13 +287,5 @@ TEST_P(ConstraintGraphTest, LoopCounterScenarioFromFigure5) {
   EXPECT_TRUE(G.provesEQ(LinearExpr("lo", 0), LinearExpr("i", -1)));
   EXPECT_TRUE(G.provesEQ(LinearExpr("hi", 0), LinearExpr("i", -1)));
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ConstraintGraphTest,
-                         ::testing::Values(DbmBackend::Dense,
-                                           DbmBackend::MapBased),
-                         [](const ::testing::TestParamInfo<DbmBackend> &I) {
-                           return I.param == DbmBackend::Dense ? "Dense"
-                                                               : "MapBased";
-                         });
 
 } // namespace

@@ -51,8 +51,8 @@ TEST(SymbolTableTest, IdsSurviveLaterInterning) {
 
 TEST(SymbolTableTest, GraphsShareOneTable) {
   auto Syms = std::make_shared<SymbolTable>();
-  ConstraintGraph A(DbmBackend::Dense, &StatsRegistry::global(), Syms);
-  ConstraintGraph B(DbmBackend::Dense, &StatsRegistry::global(), Syms);
+  ConstraintGraph A(&StatsRegistry::global(), Syms);
+  ConstraintGraph B(&StatsRegistry::global(), Syms);
   A.ensureVar("x");
   B.ensureVar("x");
   ASSERT_EQ(A.varIds().size(), 1u);
@@ -65,17 +65,17 @@ TEST(SymbolTableTest, GraphsShareOneTable) {
 // Copy-on-write sharing
 //===----------------------------------------------------------------------===//
 
-class CowTest : public ::testing::TestWithParam<DbmBackend> {
+class CowTest : public ::testing::Test {
 protected:
   ConstraintGraph make() {
-    return ConstraintGraph(GetParam(), &Stats, Syms, Memo);
+    return ConstraintGraph(&Stats, Syms, Memo);
   }
   StatsRegistry Stats;
   SymbolTablePtr Syms = std::make_shared<SymbolTable>();
   ClosureMemoPtr Memo; // Off unless a test opts in.
 };
 
-TEST_P(CowTest, CopySharesUntilMutation) {
+TEST_F(CowTest, CopySharesUntilMutation) {
   ConstraintGraph A = make();
   A.addLE("x", "y", 3);
   ConstraintGraph B = A;
@@ -95,7 +95,7 @@ TEST_P(CowTest, CopySharesUntilMutation) {
   EXPECT_FALSE(B.sharesStorage());
 }
 
-TEST_P(CowTest, MutatingCopyLeavesOriginalIntact) {
+TEST_F(CowTest, MutatingCopyLeavesOriginalIntact) {
   ConstraintGraph A = make();
   A.addLE("x", "y", 5);
   ConstraintGraph B = A;
@@ -109,7 +109,7 @@ TEST_P(CowTest, MutatingCopyLeavesOriginalIntact) {
   EXPECT_TRUE(B.provesLE(LinearExpr("x", 0), LinearExpr(0)));
 }
 
-TEST_P(CowTest, ClosureThroughOneCopyIsVisibleToAll) {
+TEST_F(CowTest, ClosureThroughOneCopyIsVisibleToAll) {
   ConstraintGraph A = make();
   A.addLE("x", "y", 1);
   A.addLE("y", "z", 1);
@@ -125,7 +125,7 @@ TEST_P(CowTest, ClosureThroughOneCopyIsVisibleToAll) {
             ClosuresAfterA);
 }
 
-TEST_P(CowTest, EnsureVarOnCopyDoesNotResizeOriginal) {
+TEST_F(CowTest, EnsureVarOnCopyDoesNotResizeOriginal) {
   ConstraintGraph A = make();
   A.addLE("x", "y", 2);
   ConstraintGraph B = A;
@@ -135,14 +135,14 @@ TEST_P(CowTest, EnsureVarOnCopyDoesNotResizeOriginal) {
   EXPECT_TRUE(A.provesLE(LinearExpr("x", 0), LinearExpr("y", 2)));
 }
 
-TEST_P(CowTest, SelfAssignIsSafe) {
+TEST_F(CowTest, SelfAssignIsSafe) {
   ConstraintGraph A = make();
   A.addLE("x", "y", 2);
   A = *&A;
   EXPECT_TRUE(A.provesLE(LinearExpr("x", 0), LinearExpr("y", 2)));
 }
 
-TEST_P(CowTest, ChainedCopiesDetachIndependently) {
+TEST_F(CowTest, ChainedCopiesDetachIndependently) {
   ConstraintGraph A = make();
   A.addLE("x", "y", 4);
   ConstraintGraph B = A;
@@ -160,10 +160,10 @@ TEST_P(CowTest, ChainedCopiesDetachIndependently) {
 // Closure memo
 //===----------------------------------------------------------------------===//
 
-class MemoTest : public ::testing::TestWithParam<DbmBackend> {
+class MemoTest : public ::testing::Test {
 protected:
   ConstraintGraph make() {
-    return ConstraintGraph(GetParam(), &Stats, Syms, Memo);
+    return ConstraintGraph(&Stats, Syms, Memo);
   }
   /// A graph whose close() takes the full-closure path: a cold matrix
   /// (never closed) batches every tightening after the first, so the next
@@ -180,7 +180,7 @@ protected:
   ClosureMemoPtr Memo = std::make_shared<ClosureMemo>();
 };
 
-TEST_P(MemoTest, SecondIdenticalCloseHitsMemo) {
+TEST_F(MemoTest, SecondIdenticalCloseHitsMemo) {
   ConstraintGraph A = makeNeedingFullClose(1);
   A.close();
   std::int64_t Misses = Stats.counter("cg.closure.memo.misses");
@@ -193,7 +193,7 @@ TEST_P(MemoTest, SecondIdenticalCloseHitsMemo) {
   EXPECT_TRUE(A.equals(B));
 }
 
-TEST_P(MemoTest, DifferentConstraintsMissMemo) {
+TEST_F(MemoTest, DifferentConstraintsMissMemo) {
   ConstraintGraph A = makeNeedingFullClose(1);
   A.close();
   ConstraintGraph B = makeNeedingFullClose(7);
@@ -202,7 +202,7 @@ TEST_P(MemoTest, DifferentConstraintsMissMemo) {
   EXPECT_FALSE(A.equals(B));
 }
 
-TEST_P(MemoTest, MutatingAdoptedResultDoesNotCorruptMemo) {
+TEST_F(MemoTest, MutatingAdoptedResultDoesNotCorruptMemo) {
   ConstraintGraph A = makeNeedingFullClose(1);
   A.close(); // Inserted into the memo.
   ConstraintGraph B = makeNeedingFullClose(1);
@@ -215,7 +215,7 @@ TEST_P(MemoTest, MutatingAdoptedResultDoesNotCorruptMemo) {
   EXPECT_FALSE(C.equals(B));
 }
 
-TEST_P(MemoTest, InfeasibleResultIsMemoizedCorrectly) {
+TEST_F(MemoTest, InfeasibleResultIsMemoizedCorrectly) {
   auto MakeInfeasible = [&]() {
     ConstraintGraph G = makeNeedingFullClose(1);
     ConstraintGraph H = make();
@@ -234,11 +234,11 @@ TEST_P(MemoTest, InfeasibleResultIsMemoizedCorrectly) {
 // Property-style checks: mutations preserve the closed form
 //===----------------------------------------------------------------------===//
 
-class ClosedFormPropertyTest : public ::testing::TestWithParam<DbmBackend> {
+class ClosedFormPropertyTest : public ::testing::Test {
 protected:
   /// Deterministic pseudo-random graph over N named variables.
   ConstraintGraph randomGraph(unsigned N, std::uint64_t Seed) {
-    ConstraintGraph G(GetParam(), &Stats);
+    ConstraintGraph G(&Stats);
     std::uint64_t State = Seed * 6364136223846793005ull + 1442695040888963407ull;
     auto Next = [&]() {
       State = State * 6364136223846793005ull + 1442695040888963407ull;
@@ -258,7 +258,7 @@ protected:
   StatsRegistry Stats;
 };
 
-TEST_P(ClosedFormPropertyTest, RemoveVarPreservesRemainingBounds) {
+TEST_F(ClosedFormPropertyTest, RemoveVarPreservesRemainingBounds) {
   for (std::uint64_t Seed = 1; Seed <= 5; ++Seed) {
     ConstraintGraph G = randomGraph(6, Seed);
     ASSERT_TRUE(G.isFeasible());
@@ -276,7 +276,7 @@ TEST_P(ClosedFormPropertyTest, RemoveVarPreservesRemainingBounds) {
   }
 }
 
-TEST_P(ClosedFormPropertyTest, RemoveVarsIfPreservesRemainingBounds) {
+TEST_F(ClosedFormPropertyTest, RemoveVarsIfPreservesRemainingBounds) {
   auto Dropped = [](unsigned I) { return I == 1 || I == 2 || I == 4; };
   for (std::uint64_t Seed = 1; Seed <= 5; ++Seed) {
     ConstraintGraph G = randomGraph(7, Seed);
@@ -301,7 +301,7 @@ TEST_P(ClosedFormPropertyTest, RemoveVarsIfPreservesRemainingBounds) {
   }
 }
 
-TEST_P(ClosedFormPropertyTest, RenameVarsPreservesBoundsUnderNewNames) {
+TEST_F(ClosedFormPropertyTest, RenameVarsPreservesBoundsUnderNewNames) {
   for (std::uint64_t Seed = 1; Seed <= 5; ++Seed) {
     ConstraintGraph G = randomGraph(5, Seed);
     ConstraintGraph Before = G;
@@ -322,7 +322,7 @@ TEST_P(ClosedFormPropertyTest, RenameVarsPreservesBoundsUnderNewNames) {
   }
 }
 
-TEST_P(ClosedFormPropertyTest, EquivalentFormsAreProvablyEqual) {
+TEST_F(ClosedFormPropertyTest, EquivalentFormsAreProvablyEqual) {
   for (std::uint64_t Seed = 1; Seed <= 5; ++Seed) {
     ConstraintGraph G = randomGraph(5, Seed);
     // Pin a couple of equalities so equivalentForms has something to find.
@@ -337,7 +337,7 @@ TEST_P(ClosedFormPropertyTest, EquivalentFormsAreProvablyEqual) {
   }
 }
 
-TEST_P(ClosedFormPropertyTest, ResolvedFormQueriesMatchStringQueries) {
+TEST_F(ClosedFormPropertyTest, ResolvedFormQueriesMatchStringQueries) {
   for (std::uint64_t Seed = 1; Seed <= 5; ++Seed) {
     ConstraintGraph G = randomGraph(5, Seed);
     for (unsigned I = 0; I < 5; ++I) {
@@ -377,15 +377,5 @@ TEST(StatsThreadSafetyTest, ConcurrentCountersSumExactly) {
     T.join();
   EXPECT_EQ(R.counter("shared.counter"), Threads * PerThread);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, CowTest,
-                         ::testing::Values(DbmBackend::Dense,
-                                           DbmBackend::MapBased));
-INSTANTIATE_TEST_SUITE_P(Backends, MemoTest,
-                         ::testing::Values(DbmBackend::Dense,
-                                           DbmBackend::MapBased));
-INSTANTIATE_TEST_SUITE_P(Backends, ClosedFormPropertyTest,
-                         ::testing::Values(DbmBackend::Dense,
-                                           DbmBackend::MapBased));
 
 } // namespace

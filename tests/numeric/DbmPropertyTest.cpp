@@ -8,9 +8,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "numeric/ClosureKernel.h"
 #include "numeric/ConstraintGraph.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
 
 using namespace csdf;
 
@@ -40,9 +44,8 @@ private:
 std::string varName(int I) { return "v" + std::to_string(I); }
 
 /// Builds a random feasible-ish graph over NumVars variables.
-ConstraintGraph randomGraph(Rng &R, int NumVars, int NumEdges,
-                            DbmBackend Backend) {
-  ConstraintGraph G(Backend);
+ConstraintGraph randomGraph(Rng &R, int NumVars, int NumEdges) {
+  ConstraintGraph G;
   for (int E = 0; E < NumEdges; ++E) {
     int A = static_cast<int>(R.range(0, NumVars - 1));
     int B = static_cast<int>(R.range(0, NumVars - 1));
@@ -62,8 +65,8 @@ class DbmPropertyTest : public ::testing::TestWithParam<int> {};
 TEST_P(DbmPropertyTest, JoinIsUpperBound) {
   Rng R(GetParam());
   for (int Trial = 0; Trial < 20; ++Trial) {
-    ConstraintGraph A = randomGraph(R, 5, 8, DbmBackend::Dense);
-    ConstraintGraph B = randomGraph(R, 5, 8, DbmBackend::Dense);
+    ConstraintGraph A = randomGraph(R, 5, 8);
+    ConstraintGraph B = randomGraph(R, 5, 8);
     ConstraintGraph J = A;
     J.joinWith(B);
     EXPECT_TRUE(A.implies(J)) << "A must refine join(A,B)";
@@ -74,8 +77,8 @@ TEST_P(DbmPropertyTest, JoinIsUpperBound) {
 TEST_P(DbmPropertyTest, JoinIsCommutativeUpToEquivalence) {
   Rng R(GetParam() + 100);
   for (int Trial = 0; Trial < 20; ++Trial) {
-    ConstraintGraph A = randomGraph(R, 4, 7, DbmBackend::Dense);
-    ConstraintGraph B = randomGraph(R, 4, 7, DbmBackend::Dense);
+    ConstraintGraph A = randomGraph(R, 4, 7);
+    ConstraintGraph B = randomGraph(R, 4, 7);
     ConstraintGraph AB = A;
     AB.joinWith(B);
     ConstraintGraph BA = B;
@@ -87,8 +90,8 @@ TEST_P(DbmPropertyTest, JoinIsCommutativeUpToEquivalence) {
 TEST_P(DbmPropertyTest, MeetIsLowerBound) {
   Rng R(GetParam() + 200);
   for (int Trial = 0; Trial < 20; ++Trial) {
-    ConstraintGraph A = randomGraph(R, 5, 6, DbmBackend::Dense);
-    ConstraintGraph B = randomGraph(R, 5, 6, DbmBackend::Dense);
+    ConstraintGraph A = randomGraph(R, 5, 6);
+    ConstraintGraph B = randomGraph(R, 5, 6);
     ConstraintGraph M = A;
     M.meetWith(B);
     EXPECT_TRUE(M.implies(A));
@@ -99,8 +102,8 @@ TEST_P(DbmPropertyTest, MeetIsLowerBound) {
 TEST_P(DbmPropertyTest, WideningIsUpperBoundOfOldState) {
   Rng R(GetParam() + 300);
   for (int Trial = 0; Trial < 20; ++Trial) {
-    ConstraintGraph Old = randomGraph(R, 5, 8, DbmBackend::Dense);
-    ConstraintGraph New = randomGraph(R, 5, 8, DbmBackend::Dense);
+    ConstraintGraph Old = randomGraph(R, 5, 8);
+    ConstraintGraph New = randomGraph(R, 5, 8);
     ConstraintGraph W = Old;
     W.widenWith(New);
     EXPECT_TRUE(Old.implies(W));
@@ -112,7 +115,7 @@ TEST_P(DbmPropertyTest, WideningChainStabilizes) {
   // Repeated widening against ever-weaker states must reach a fixpoint
   // quickly (thresholds add at most a constant number of extra steps).
   Rng R(GetParam() + 400);
-  ConstraintGraph State(DbmBackend::Dense);
+  ConstraintGraph State;
   State.assign("x", LinearExpr(0));
   State.addLowerBound("n", 4);
   int Steps = 0;
@@ -129,20 +132,47 @@ TEST_P(DbmPropertyTest, WideningChainStabilizes) {
   EXPECT_LT(Steps, 10) << "widening chain too long";
 }
 
-TEST_P(DbmPropertyTest, BackendsAgreeOnEntailment) {
-  Rng RD(GetParam() + 500);
-  Rng RM(GetParam() + 500);
+TEST_P(DbmPropertyTest, GraphAgreesWithReferenceClosure) {
+  // The same random constraints go into a ConstraintGraph (flat kernels,
+  // cold batching, single-edge repair once warm) and into a plain matrix
+  // closed once by the reference Floyd-Warshall loop.
+  Rng R(GetParam() + 500);
+  constexpr int NumVars = 5;
   for (int Trial = 0; Trial < 10; ++Trial) {
-    ConstraintGraph D = randomGraph(RD, 5, 9, DbmBackend::Dense);
-    ConstraintGraph M = randomGraph(RM, 5, 9, DbmBackend::MapBased);
-    EXPECT_EQ(D.isFeasible(), M.isFeasible());
-    for (int A = 0; A < 5; ++A)
-      for (int B = 0; B < 5; ++B) {
+    ConstraintGraph G;
+    DbmStorage Ref;
+    Ref.resize(NumVars);
+    for (int I = 0; I < NumVars; ++I)
+      Ref.set(I, I, 0);
+    bool Seen[NumVars] = {};
+    for (int E = 0; E < 9; ++E) {
+      int A = static_cast<int>(R.range(0, NumVars - 1));
+      int B = static_cast<int>(R.range(0, NumVars - 1));
+      std::int64_t C = R.range(-1, 6);
+      // A query mid-build closes the graph, so later tightenings take the
+      // warm single-edge repair path instead of the cold batch.
+      if (R.range(0, 2) == 0)
+        G.isFeasible();
+      if (A == B)
+        continue;
+      G.addLE(varName(A), varName(B), C);
+      Seen[A] = Seen[B] = true;
+      Ref.set(A, B, std::min(Ref.get(A, B), C));
+    }
+    bool RefFeasible = kernel::fullCloseRef(Ref);
+    ASSERT_EQ(G.isFeasible(), RefFeasible) << "trial " << Trial;
+    if (!RefFeasible)
+      continue;
+    for (int A = 0; A < NumVars; ++A)
+      for (int B = 0; B < NumVars; ++B) {
         if (A == B)
           continue;
-        EXPECT_EQ(D.bestBound(varName(A), varName(B)),
-                  M.bestBound(varName(A), varName(B)))
-            << varName(A) << " vs " << varName(B);
+        std::optional<std::int64_t> Want;
+        if (Seen[A] && Seen[B] && Ref.get(A, B) < DbmInfinity)
+          Want = Ref.get(A, B);
+        EXPECT_EQ(G.bestBound(varName(A), varName(B)), Want)
+            << "trial " << Trial << ": " << varName(A) << " vs "
+            << varName(B);
       }
   }
 }
@@ -150,7 +180,7 @@ TEST_P(DbmPropertyTest, BackendsAgreeOnEntailment) {
 TEST_P(DbmPropertyTest, HavocWeakens) {
   Rng R(GetParam() + 600);
   for (int Trial = 0; Trial < 20; ++Trial) {
-    ConstraintGraph A = randomGraph(R, 5, 8, DbmBackend::Dense);
+    ConstraintGraph A = randomGraph(R, 5, 8);
     if (!A.isFeasible())
       continue;
     ConstraintGraph H = A;
@@ -162,7 +192,7 @@ TEST_P(DbmPropertyTest, HavocWeakens) {
 TEST_P(DbmPropertyTest, RemoveVarPreservesOtherEntailments) {
   Rng R(GetParam() + 700);
   for (int Trial = 0; Trial < 20; ++Trial) {
-    ConstraintGraph A = randomGraph(R, 5, 9, DbmBackend::Dense);
+    ConstraintGraph A = randomGraph(R, 5, 9);
     if (!A.isFeasible())
       continue;
     ConstraintGraph P = A;
@@ -179,23 +209,21 @@ TEST_P(DbmPropertyTest, RemoveVarPreservesOtherEntailments) {
 
 TEST_P(DbmPropertyTest, RemoveVarsIfPreservesOtherEntailments) {
   Rng R(GetParam() + 800);
-  for (DbmBackend Backend : {DbmBackend::Dense, DbmBackend::MapBased}) {
-    for (int Trial = 0; Trial < 20; ++Trial) {
-      ConstraintGraph A = randomGraph(R, 7, 14, Backend);
-      if (!A.isFeasible())
-        continue;
-      ConstraintGraph P = A;
-      P.removeVarsIf([](const std::string &Var) {
-        return Var == varName(1) || Var == varName(3) || Var == varName(4);
-      });
-      for (int X : {0, 2, 5, 6})
-        for (int Y : {0, 2, 5, 6}) {
-          if (X == Y)
-            continue;
-          EXPECT_EQ(A.bestBound(varName(X), varName(Y)),
-                    P.bestBound(varName(X), varName(Y)));
-        }
-    }
+  for (int Trial = 0; Trial < 20; ++Trial) {
+    ConstraintGraph A = randomGraph(R, 7, 14);
+    if (!A.isFeasible())
+      continue;
+    ConstraintGraph P = A;
+    P.removeVarsIf([](const std::string &Var) {
+      return Var == varName(1) || Var == varName(3) || Var == varName(4);
+    });
+    for (int X : {0, 2, 5, 6})
+      for (int Y : {0, 2, 5, 6}) {
+        if (X == Y)
+          continue;
+        EXPECT_EQ(A.bestBound(varName(X), varName(Y)),
+                  P.bestBound(varName(X), varName(Y)));
+      }
   }
 }
 

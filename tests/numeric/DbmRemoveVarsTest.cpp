@@ -5,11 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Property suite for batched variable projection. DbmStorage::removeVars
-// drops a whole mask of variables in one compaction; on every backend it
-// must agree entry for entry with a test-local reference that removes the
-// same variables one at a time through virtual get/set, on random dense,
-// sparse and saturated closed matrices straddling the closure tile and
-// the dense capacity boundaries. The dense occupancy bitmap must come out
+// drops a whole mask of variables in one compaction; it must agree entry
+// for entry with a test-local reference that removes the same variables
+// one at a time through element-wise get/set, on random dense, sparse and
+// saturated closed matrices straddling the closure tile and the capacity
+// boundaries. The occupancy bitmap must come out
 // exact, closure and feasibility must survive, copy-on-write siblings
 // must be untouched, and the memo fingerprint must equal the sequential
 // result's. ConstraintGraph::removeVarsIf is checked the same way against
@@ -42,19 +42,18 @@ std::vector<std::int64_t> contents(const DbmStorage &M) {
 }
 
 /// The sequential reference: removes one variable by rebuilding the matrix
-/// through get/set, so it shares no code with either backend's removeVars.
-std::unique_ptr<DbmStorage> removeOneRef(const DbmStorage &M, unsigned Victim,
-                                         DbmBackend Backend) {
-  auto Out = makeDbmStorage(Backend);
+/// through get/set, so it shares no code with DbmStorage::removeVars.
+DbmStorage removeOneRef(const DbmStorage &M, unsigned Victim) {
+  DbmStorage Out;
   unsigned N = M.size();
-  Out->resize(N - 1);
+  Out.resize(N - 1);
   for (unsigned I = 0, NI = 0; I < N; ++I) {
     if (I == Victim)
       continue;
     for (unsigned J = 0, NJ = 0; J < N; ++J) {
       if (J == Victim)
         continue;
-      Out->set(NI, NJ, M.get(I, J));
+      Out.set(NI, NJ, M.get(I, J));
       ++NJ;
     }
     ++NI;
@@ -64,13 +63,12 @@ std::unique_ptr<DbmStorage> removeOneRef(const DbmStorage &M, unsigned Victim,
 
 /// Removes every masked variable one at a time, highest index first so
 /// the remaining victims keep their indices.
-std::unique_ptr<DbmStorage> removeSequentialRef(const DbmStorage &M,
-                                                const std::vector<bool> &Drop,
-                                                DbmBackend Backend) {
-  std::unique_ptr<DbmStorage> Cur = M.clone();
+DbmStorage removeSequentialRef(const DbmStorage &M,
+                               const std::vector<bool> &Drop) {
+  DbmStorage Cur = M;
   for (unsigned I = static_cast<unsigned>(Drop.size()); I-- > 0;)
     if (Drop[I])
-      Cur = removeOneRef(*Cur, I, Backend);
+      Cur = removeOneRef(Cur, I);
   return Cur;
 }
 
@@ -78,43 +76,42 @@ std::unique_ptr<DbmStorage> removeSequentialRef(const DbmStorage &M,
 /// time (the capacity-stride resize path the engine uses). Retries until
 /// the closure is feasible (at most a few times: negative bounds are
 /// rare and sparse, and Lo >= 0 makes the first try feasible).
-std::unique_ptr<DbmStorage> randomClosed(std::mt19937 &Rng, DbmBackend Backend,
-                                         unsigned N, double Density,
-                                         std::int64_t Lo, std::int64_t Hi,
-                                         bool Saturated = false) {
+DbmStorage randomClosed(std::mt19937 &Rng, unsigned N, double Density,
+                        std::int64_t Lo, std::int64_t Hi,
+                        bool Saturated = false) {
   std::uniform_real_distribution<double> Coin(0.0, 1.0);
   std::uniform_int_distribution<std::int64_t> Bound(Lo, Hi);
   std::uniform_int_distribution<int> Kind(0, 2);
   for (int Try = 0;; ++Try) {
     EXPECT_LT(Try, 100) << "no feasible random matrix";
-    auto M = makeDbmStorage(Backend);
+    DbmStorage M;
     for (unsigned I = 1; I <= N; ++I)
-      M->resize(I);
+      M.resize(I);
     for (unsigned I = 0; I < N; ++I)
-      M->set(I, I, 0);
+      M.set(I, I, 0);
     for (unsigned I = 0; I < N; ++I)
       for (unsigned J = 0; J < N; ++J) {
         if (I == J || Coin(Rng) >= Density)
           continue;
         if (!Saturated) {
-          M->set(I, J, Bound(Rng));
+          M.set(I, J, Bound(Rng));
           continue;
         }
         // Bounds at and across the saturation point, as in the closure
         // kernel's saturation test.
         switch (Kind(Rng)) {
         case 0:
-          M->set(I, J, DbmInfinity - 1);
+          M.set(I, J, DbmInfinity - 1);
           break;
         case 1:
-          M->set(I, J, DbmInfinity / 2);
+          M.set(I, J, DbmInfinity / 2);
           break;
         default:
-          M->set(I, J, Bound(Rng));
+          M.set(I, J, Bound(Rng));
           break;
         }
       }
-    if (kernel::fullCloseRef(*M) || Try >= 100)
+    if (kernel::fullCloseRef(M) || Try >= 100)
       return M;
   }
 }
@@ -141,9 +138,9 @@ std::vector<std::pair<const char *, std::vector<bool>>> masksFor(unsigned N) {
   return Masks;
 }
 
-/// The dense occupancy bitmap is exact: a row's bit is set if and only if
-/// the row holds a finite off-diagonal bound.
-void expectExactOccupancy(const DenseDbmStorage &D) {
+/// The occupancy bitmap is exact: a row's bit is set if and only if the
+/// row holds a finite off-diagonal bound.
+void expectExactOccupancy(const DbmStorage &D) {
   for (unsigned I = 0; I < D.size(); ++I) {
     bool Any = false;
     for (unsigned J = 0; J < D.size(); ++J)
@@ -154,129 +151,117 @@ void expectExactOccupancy(const DenseDbmStorage &D) {
 
 /// Checks one batched projection against the sequential reference.
 void checkProjection(const DbmStorage &Input, const std::vector<bool> &Drop,
-                     DbmBackend Backend, const std::string &What) {
+                     const std::string &What) {
   SCOPED_TRACE(What);
-  std::unique_ptr<DbmStorage> Ref = removeSequentialRef(Input, Drop, Backend);
-  std::unique_ptr<DbmStorage> Batched = Input.clone();
-  Batched->removeVars(Drop);
-  ASSERT_EQ(Batched->size(), Ref->size());
-  EXPECT_EQ(contents(*Batched), contents(*Ref));
-  EXPECT_EQ(dbmFingerprint(*Batched), dbmFingerprint(*Ref));
-  if (const DenseDbmStorage *D = Batched->asDense())
-    expectExactOccupancy(*D);
+  DbmStorage Ref = removeSequentialRef(Input, Drop);
+  DbmStorage Batched = Input;
+  Batched.removeVars(Drop);
+  ASSERT_EQ(Batched.size(), Ref.size());
+  EXPECT_EQ(contents(Batched), contents(Ref));
+  EXPECT_EQ(dbmFingerprint(Batched), dbmFingerprint(Ref));
+  expectExactOccupancy(Batched);
   // Projection of a closed feasible matrix is closed and feasible:
   // re-closing finds nothing to tighten.
-  std::unique_ptr<DbmStorage> Reclosed = Batched->clone();
-  EXPECT_TRUE(kernel::fullCloseRef(*Reclosed));
-  EXPECT_EQ(contents(*Reclosed), contents(*Batched));
+  DbmStorage Reclosed = Batched;
+  EXPECT_TRUE(kernel::fullCloseRef(Reclosed));
+  EXPECT_EQ(contents(Reclosed), contents(Batched));
 }
-
-class DbmRemoveVarsTest : public ::testing::TestWithParam<DbmBackend> {};
 
 const unsigned Sizes[] = {1, kernel::ClosureTile - 1, kernel::ClosureTile,
                           kernel::ClosureTile + 1, 64};
 
-TEST_P(DbmRemoveVarsTest, DenseMatricesMatchSequentialReference) {
+TEST(DbmRemoveVarsTest, DenseMatricesMatchSequentialReference) {
   std::mt19937 Rng(5150);
   for (unsigned N : Sizes)
     for (auto &[Name, Drop] : masksFor(N)) {
-      auto M = randomClosed(Rng, GetParam(), N, 0.3, 0, 40);
-      checkProjection(*M, Drop, GetParam(),
-                      "n=" + std::to_string(N) + " mask=" + Name);
+      DbmStorage M = randomClosed(Rng, N, 0.3, 0, 40);
+      checkProjection(M, Drop, "n=" + std::to_string(N) + " mask=" + Name);
     }
 }
 
-TEST_P(DbmRemoveVarsTest, SparseMatricesMatchSequentialReference) {
+TEST(DbmRemoveVarsTest, SparseMatricesMatchSequentialReference) {
   std::mt19937 Rng(6061);
   for (unsigned N : Sizes)
     for (auto &[Name, Drop] : masksFor(N)) {
-      auto M = randomClosed(Rng, GetParam(), N, 0.02, -1, 30);
-      checkProjection(*M, Drop, GetParam(),
-                      "n=" + std::to_string(N) + " mask=" + Name);
+      DbmStorage M = randomClosed(Rng, N, 0.02, -1, 30);
+      checkProjection(M, Drop, "n=" + std::to_string(N) + " mask=" + Name);
     }
 }
 
-TEST_P(DbmRemoveVarsTest, SaturatedMatricesMatchSequentialReference) {
+TEST(DbmRemoveVarsTest, SaturatedMatricesMatchSequentialReference) {
   std::mt19937 Rng(7177);
   for (unsigned N : Sizes)
     for (auto &[Name, Drop] : masksFor(N)) {
-      auto M = randomClosed(Rng, GetParam(), N, 0.2, 0, 20,
-                            /*Saturated=*/true);
-      checkProjection(*M, Drop, GetParam(),
-                      "n=" + std::to_string(N) + " mask=" + Name);
+      DbmStorage M = randomClosed(Rng, N, 0.2, 0, 20, /*Saturated=*/true);
+      checkProjection(M, Drop, "n=" + std::to_string(N) + " mask=" + Name);
     }
 }
 
-TEST_P(DbmRemoveVarsTest, RegrowAfterProjectionStartsUnconstrained) {
+TEST(DbmRemoveVarsTest, RegrowAfterProjectionStartsUnconstrained) {
   // Projection leaves the capacity (and stale cells past the new size)
   // behind; growing again must not resurrect them, and growing past the
   // capacity must carry the compacted rows over.
   std::mt19937 Rng(8288);
   for (unsigned N : {kernel::ClosureTile, 64u}) {
-    auto M = randomClosed(Rng, GetParam(), N, 0.5, 0, 20);
+    DbmStorage M = randomClosed(Rng, N, 0.5, 0, 20);
     std::vector<bool> Drop(N, false);
     for (unsigned I = 1; I < N; I += 3)
       Drop[I] = true;
-    checkProjection(*M, Drop, GetParam(), "before regrow");
-    M->removeVars(Drop);
-    auto Kept = contents(*M);
-    unsigned K = M->size();
+    checkProjection(M, Drop, "before regrow");
+    M.removeVars(Drop);
+    auto Kept = contents(M);
+    unsigned K = M.size();
     for (unsigned Grow = K + 1; Grow <= 2 * N + 1; ++Grow) {
-      M->resize(Grow);
-      M->set(Grow - 1, Grow - 1, 0);
+      M.resize(Grow);
+      M.set(Grow - 1, Grow - 1, 0);
     }
-    for (unsigned I = 0; I < M->size(); ++I)
-      for (unsigned J = 0; J < M->size(); ++J) {
+    for (unsigned I = 0; I < M.size(); ++I)
+      for (unsigned J = 0; J < M.size(); ++J) {
         if (I < K && J < K)
-          EXPECT_EQ(M->get(I, J), Kept[I * K + J]);
+          EXPECT_EQ(M.get(I, J), Kept[I * K + J]);
         else
-          EXPECT_EQ(M->get(I, J), I == J ? 0 : DbmInfinity);
+          EXPECT_EQ(M.get(I, J), I == J ? 0 : DbmInfinity);
       }
-    if (const DenseDbmStorage *D = M->asDense())
-      expectExactOccupancy(*D);
+    expectExactOccupancy(M);
     // And the grown matrix projects like the reference too.
-    std::vector<bool> Again(M->size(), false);
-    for (unsigned I = 0; I < M->size(); I += 2)
+    std::vector<bool> Again(M.size(), false);
+    for (unsigned I = 0; I < M.size(); I += 2)
       Again[I] = I != 0;
-    checkProjection(*M, Again, GetParam(), "after regrow");
+    checkProjection(M, Again, "after regrow");
   }
 }
 
-TEST_P(DbmRemoveVarsTest, CowSiblingIsUntouched) {
+TEST(DbmRemoveVarsTest, CowSiblingIsUntouched) {
   std::mt19937 Rng(9399);
   for (unsigned N : Sizes) {
-    auto M = randomClosed(Rng, GetParam(), N, 0.3, 0, 40);
+    DbmStorage M = randomClosed(Rng, N, 0.3, 0, 40);
     std::vector<bool> Drop = masksFor(N)[3].second; // alternating
-    std::unique_ptr<DbmStorage> Ref = removeSequentialRef(*M, Drop, GetParam());
+    DbmStorage Ref = removeSequentialRef(M, Drop);
 
-    CowDbm A(GetParam());
-    A.rw().M = M->clone();
+    CowDbm A;
+    A.rw().M = M;
     CowDbm Sibling = A;
     ASSERT_FALSE(A.unique());
-    auto Before = contents(*Sibling.ro().M);
+    auto Before = contents(Sibling.ro().M);
     EXPECT_TRUE(A.detach());
-    A.rw().M->removeVars(Drop);
+    A.rw().M.removeVars(Drop);
 
-    EXPECT_EQ(contents(*Sibling.ro().M), Before);
-    EXPECT_EQ(contents(*A.ro().M), contents(*Ref));
-    EXPECT_EQ(dbmFingerprint(*A.ro().M), dbmFingerprint(*Ref));
+    EXPECT_EQ(contents(Sibling.ro().M), Before);
+    EXPECT_EQ(contents(A.ro().M), contents(Ref));
+    EXPECT_EQ(dbmFingerprint(A.ro().M), dbmFingerprint(Ref));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, DbmRemoveVarsTest,
-                         ::testing::Values(DbmBackend::Dense,
-                                           DbmBackend::MapBased));
 
 //===----------------------------------------------------------------------===//
 // ConstraintGraph::removeVarsIf
 //===----------------------------------------------------------------------===//
 
-class RemoveVarsIfTest : public ::testing::TestWithParam<DbmBackend> {
+class RemoveVarsIfTest : public ::testing::Test {
 protected:
   static std::string name(unsigned I) { return "v" + std::to_string(I); }
 
   ConstraintGraph randomGraph(std::mt19937 &Rng, unsigned N) {
-    ConstraintGraph G(GetParam(), &Stats);
+    ConstraintGraph G(&Stats);
     std::uniform_int_distribution<unsigned> Var(0, N - 1);
     std::uniform_int_distribution<std::int64_t> Bound(0, 16);
     for (unsigned I = 0; I < N; ++I)
@@ -294,7 +279,7 @@ protected:
   StatsRegistry Stats;
 };
 
-TEST_P(RemoveVarsIfTest, MatchesOneAtATimeRemoval) {
+TEST_F(RemoveVarsIfTest, MatchesOneAtATimeRemoval) {
   std::mt19937 Rng(4321);
   for (unsigned N : {1u, 6u, 33u}) {
     for (unsigned Stride : {1u, 2u, 3u}) {
@@ -331,7 +316,7 @@ TEST_P(RemoveVarsIfTest, MatchesOneAtATimeRemoval) {
   }
 }
 
-TEST_P(RemoveVarsIfTest, ProjectionStaysClosedAndFeasible) {
+TEST_F(RemoveVarsIfTest, ProjectionStaysClosedAndFeasible) {
   std::mt19937 Rng(2468);
   ConstraintGraph G = randomGraph(Rng, 12);
   ASSERT_TRUE(G.isFeasible());
@@ -349,7 +334,7 @@ TEST_P(RemoveVarsIfTest, ProjectionStaysClosedAndFeasible) {
   EXPECT_EQ(Closures(), Before);
 }
 
-TEST_P(RemoveVarsIfTest, NoMatchLeavesGraphShared) {
+TEST_F(RemoveVarsIfTest, NoMatchLeavesGraphShared) {
   std::mt19937 Rng(99);
   ConstraintGraph G = randomGraph(Rng, 5);
   ConstraintGraph Copy = G;
@@ -359,8 +344,8 @@ TEST_P(RemoveVarsIfTest, NoMatchLeavesGraphShared) {
   EXPECT_EQ(G.varNames(), Copy.varNames());
 }
 
-TEST_P(RemoveVarsIfTest, ZeroVariableIsNeverOffered) {
-  ConstraintGraph G(GetParam(), &Stats);
+TEST_F(RemoveVarsIfTest, ZeroVariableIsNeverOffered) {
+  ConstraintGraph G(&Stats);
   G.addUpperBound("x", 3);
   G.addLowerBound("x", 3);
   std::vector<std::string> Offered;
@@ -371,9 +356,5 @@ TEST_P(RemoveVarsIfTest, ZeroVariableIsNeverOffered) {
   EXPECT_EQ(Offered, std::vector<std::string>{"x"});
   EXPECT_EQ(G.constValue("x"), 3);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, RemoveVarsIfTest,
-                         ::testing::Values(DbmBackend::Dense,
-                                           DbmBackend::MapBased));
 
 } // namespace
