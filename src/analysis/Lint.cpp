@@ -441,19 +441,10 @@ const char *bridgePassName(AnalysisBug::Kind Kind) {
                                     // the pass names.
 }
 
-void lintPcfgBridge(const Cfg &Graph, const LintOptions &Opts,
+/// Relays one engine result: its bug candidates as findings of the enabled
+/// bridge passes, plus an analysis-top note when it gave up.
+void lintPcfgBridge(const AnalysisResult &R, const LintOptions &Opts,
                     DiagnosticEngine &Diags) {
-  bool AnyBridge =
-      Opts.isEnabled("message-leak") || Opts.isEnabled("possible-deadlock") ||
-      Opts.isEnabled("tag-mismatch") || Opts.isEnabled("match-nondet") ||
-      Opts.isEnabled("analysis-top") || Opts.isEnabled("internal-error");
-  if (!AnyBridge)
-    return;
-
-  AnalysisOptions EngineOpts = Opts.Analysis;
-  EngineOpts.CheckMatchNondet =
-      EngineOpts.CheckMatchNondet && Opts.isEnabled("match-nondet");
-  AnalysisResult R = analyzeProgram(Graph, EngineOpts);
   if (R.Outcome.internalError()) {
     // The engine recovered from an invariant violation: surface it as a
     // diagnostic instead of aborting the process, and do not relay bug
@@ -482,14 +473,9 @@ void lintPcfgBridge(const Cfg &Graph, const LintOptions &Opts,
                           "incomplete"));
 }
 
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Driver
-//===----------------------------------------------------------------------===//
-
-void csdf::runLintPasses(const Cfg &Graph, const LintOptions &Opts,
-                         DiagnosticEngine &Diags) {
+/// Every enabled pass that reads only the CFG.
+void runCfgPasses(const Cfg &Graph, const LintOptions &Opts,
+                  DiagnosticEngine &Diags) {
   if (Opts.isEnabled("use-before-init"))
     lintUseBeforeInit(Graph, Diags);
   if (Opts.isEnabled("dead-store"))
@@ -503,37 +489,69 @@ void csdf::runLintPasses(const Cfg &Graph, const LintOptions &Opts,
   if (Opts.isEnabled("tag-mismatch-const"))
     lintConstTagMismatch(Graph, Diags);
   runRequestChecks(Graph, Opts, Diags);
-  lintPcfgBridge(Graph, Opts, Diags);
 }
 
-bool csdf::lintSource(const std::string &Source, const LintOptions &Opts,
-                      DiagnosticEngine &Diags, LintArtifacts *Artifacts) {
-  // Shared from the start: the CFG (and any engine trace captured through
-  // it) stores pointers into this AST, and Artifacts holders keep both.
-  auto Parsed = std::make_shared<ParseResult>(parseProgram(Source));
-  if (!Parsed->succeeded()) {
+/// Reports the front end's findings. Returns false when they stop the
+/// pipeline (parse errors, or sema errors); \p Sema is only read once
+/// parsing succeeded.
+bool lintFrontEnd(const ParseResult &Parsed, const SemaResult &Sema,
+                  const LintOptions &Opts, DiagnosticEngine &Diags) {
+  if (!Parsed.succeeded()) {
     if (Opts.isEnabled("parse"))
-      for (const ParseDiagnostic &D : Parsed->Diagnostics)
+      for (const ParseDiagnostic &D : Parsed.Diagnostics)
         Diags.report(
             makeDiag("parse", DiagSeverity::Error, D.Loc, D.Message));
     return false;
   }
-
-  SemaResult Sema = checkProgram(Parsed->Prog);
   if (Opts.isEnabled("sema"))
     for (const SemaDiagnostic &D : Sema.Diagnostics)
       Diags.report(makeDiag("sema",
                             D.isError() ? DiagSeverity::Error
                                         : DiagSeverity::Warning,
                             D.Loc, D.Message));
-  if (Sema.hasErrors())
-    return false;
+  return !Sema.hasErrors();
+}
 
-  auto Graph = std::make_shared<Cfg>(buildCfg(Parsed->Prog));
-  if (Artifacts) {
-    Artifacts->Parsed = Parsed;
-    Artifacts->Graph = Graph;
-  }
-  runLintPasses(*Graph, Opts, Diags);
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Driver
+//===----------------------------------------------------------------------===//
+
+void csdf::runLintPasses(const Cfg &Graph, const LintOptions &Opts,
+                         DiagnosticEngine &Diags) {
+  runCfgPasses(Graph, Opts, Diags);
+  bool AnyBridge =
+      Opts.isEnabled("message-leak") || Opts.isEnabled("possible-deadlock") ||
+      Opts.isEnabled("tag-mismatch") || Opts.isEnabled("match-nondet") ||
+      Opts.isEnabled("analysis-top") || Opts.isEnabled("internal-error");
+  if (!AnyBridge)
+    return;
+  AnalysisOptions EngineOpts = Opts.Analysis;
+  EngineOpts.CheckMatchNondet =
+      EngineOpts.CheckMatchNondet && Opts.isEnabled("match-nondet");
+  lintPcfgBridge(analyzeProgram(Graph, EngineOpts), Opts, Diags);
+}
+
+bool csdf::lintSource(const std::string &Source, const LintOptions &Opts,
+                      DiagnosticEngine &Diags) {
+  ParseResult Parsed = parseProgram(Source);
+  SemaResult Sema;
+  if (Parsed.succeeded())
+    Sema = checkProgram(Parsed.Prog);
+  if (!lintFrontEnd(Parsed, Sema, Opts, Diags))
+    return false;
+  // The CFG stores pointers into Parsed's AST, which outlives it here.
+  runLintPasses(buildCfg(Parsed.Prog), Opts, Diags);
   return true;
+}
+
+void csdf::lintAnalyzed(const ParseResult &Parsed, const SemaResult &Sema,
+                        const Cfg *Graph, const AnalysisResult &Engine,
+                        const LintOptions &Opts, DiagnosticEngine &Diags) {
+  if (!lintFrontEnd(Parsed, Sema, Opts, Diags))
+    return;
+  if (Graph)
+    runCfgPasses(*Graph, Opts, Diags);
+  lintPcfgBridge(Engine, Opts, Diags);
 }

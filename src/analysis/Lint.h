@@ -34,10 +34,11 @@
 #include "diag/DiagRenderer.h"
 #include "diag/DiagnosticEngine.h"
 #include "lang/Parser.h"
+#include "lang/Sema.h"
 #include "pcfg/AnalysisOptions.h"
+#include "pcfg/AnalysisResult.h"
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -81,27 +82,27 @@ std::map<std::string, std::string> lintRuleDescriptions();
 std::map<std::string, SarifRuleDoc> lintRuleDocs();
 
 /// Runs every enabled CFG-level and pCFG-bridge pass over \p Graph,
-/// reporting into \p Diags. (Parse/sema passes live in lintSource().)
+/// reporting into \p Diags. The bridge runs the pCFG engine itself.
+/// (Parse/sema passes live in lintSource().)
 void runLintPasses(const Cfg &Graph, const LintOptions &Opts,
                    DiagnosticEngine &Diags);
-
-/// The reusable intermediate artifacts of one lint run, exposed for the
-/// incremental pipeline (api::Analyzer::lintIncremental): the parsed AST
-/// and the CFG built from it. Graph stores pointers into Parsed's AST, so
-/// holders must keep both (a captured engine trace points into the same
-/// AST via the CFG's expression pointers).
-struct LintArtifacts {
-  std::shared_ptr<ParseResult> Parsed;
-  std::shared_ptr<Cfg> Graph;
-};
 
 /// Full lint pipeline over MPL source text: parse, sema, CFG construction,
 /// then runLintPasses(). Returns false when the program was too broken to
 /// lint past the front end (parse or sema errors); front-end findings are
-/// still reported into \p Diags. When \p Artifacts is non-null it receives
-/// the parse result and CFG once the front end succeeded.
+/// still reported into \p Diags.
 bool lintSource(const std::string &Source, const LintOptions &Opts,
-                DiagnosticEngine &Diags, LintArtifacts *Artifacts = nullptr);
+                DiagnosticEngine &Diags);
+
+/// Lints a revision one analysis session already took through the
+/// pipeline, reporting what lintSource() reports for the same source and
+/// options without running the engine: the bridge reads \p Engine's
+/// Outcome, Bugs and TopReason. \p Graph is null when the front end or
+/// CFG construction stopped that session. A MatchNondet bug in \p Engine
+/// is dropped like any other finding of a disabled pass.
+void lintAnalyzed(const ParseResult &Parsed, const SemaResult &Sema,
+                  const Cfg *Graph, const AnalysisResult &Engine,
+                  const LintOptions &Opts, DiagnosticEngine &Diags);
 
 } // namespace csdf
 

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <future>
+#include <utility>
 
 using namespace csdf;
 using namespace csdf::api;
@@ -78,13 +79,46 @@ std::string lintKnobsKey(const LintRequest &Req) {
   return Key;
 }
 
+/// Budget-limited outcomes are timing-dependent, and test hooks let a
+/// source's comments steer its run: such requests neither store nor reuse
+/// a product.
+bool shareable(const RequestOptions &Options) {
+  return !Options.DeadlineMs && !Options.MaxMemoryMb && !Options.ProverSteps &&
+         !Options.TestHooks;
+}
+
+/// Moves the session, report included, out of \p P for a response. P
+/// keeps the rest, and of the report only what lint reads.
+SessionResult takeSession(RevisionProduct &P) {
+  ClientReport Report = std::exchange(P.Session.Report, ClientReport());
+  SessionResult Out = P.Session;
+  AnalysisResult &Kept = P.Session.Report.Analysis;
+  Kept.Converged = Report.Analysis.Converged;
+  Kept.TopReason = Report.Analysis.TopReason;
+  Kept.Outcome = Report.Analysis.Outcome;
+  Kept.Bugs = Report.Analysis.Bugs;
+  P.FullReport = false;
+  Out.Report = std::move(Report);
+  return Out;
+}
+
 } // namespace
 
-Analyzer::Analyzer(const AnalyzerConfig &Config)
-    : Config(Config), Syms(std::make_shared<SymbolTable>()),
-      Memo(std::make_shared<ClosureMemo>(/*CrossSession=*/true)) {}
+Analyzer::Analyzer(const AnalyzerConfig &Config) : Config(Config) {}
 
 Analyzer::~Analyzer() = default;
+
+const std::shared_ptr<SymbolTable> &Analyzer::symbols() {
+  if (!Syms)
+    Syms = std::make_shared<SymbolTable>();
+  return Syms;
+}
+
+const std::shared_ptr<ClosureMemo> &Analyzer::closureMemo() const {
+  if (!Memo)
+    Memo = std::make_shared<ClosureMemo>(/*CrossSession=*/true);
+  return Memo;
+}
 
 ThreadPool &Analyzer::pool(unsigned Workers) {
   Workers = std::max(1u, Workers);
@@ -95,106 +129,67 @@ ThreadPool &Analyzer::pool(unsigned Workers) {
   return *Pool;
 }
 
-AnalyzeResponse Analyzer::analyze(const AnalyzeRequest &Req) {
-  // Cold mode hands the session null handles, i.e. fresh per-run state —
-  // the classic isolated run.
-  return analyzeWith(Req, Config.WarmState ? Syms : nullptr,
-                     Config.WarmState ? Memo : nullptr);
-}
-
-AnalyzeResponse
-Analyzer::analyzeWith(const AnalyzeRequest &Req,
-                      std::shared_ptr<SymbolTable> SharedSyms,
-                      std::shared_ptr<ClosureMemo> SharedMemo) {
-  AnalyzeResponse Resp;
-  Resp.OptionsFingerprint = Req.Options.fingerprint();
-  std::uint64_t Start = nowUs();
-
-  std::string Source, Error;
-  if (!resolveSource(Req.Path, Req.Source, Source, Error,
-                     /*EmptyIsError=*/true)) {
-    Resp.Session.ExitCode = SessionExitUsage;
-    Resp.Session.Error = Error;
-    Resp.WallUs = nowUs() - Start;
-    return Resp;
-  }
-
-  SessionOptions Opts = Req.Options.session();
-  Opts.Analysis.SharedSymbols = std::move(SharedSyms);
-  Opts.Analysis.SharedMemo = std::move(SharedMemo);
-  Resp.Session = runAnalysisSession(Req.Path, Source, Opts);
-  Resp.WallUs = nowUs() - Start;
-  return Resp;
-}
-
 PipelineCache &Analyzer::cache() {
   if (!Cache)
     Cache = std::make_unique<PipelineCache>();
   return *Cache;
 }
 
-AnalyzeResponse Analyzer::analyzeIncremental(const AnalyzeRequest &Req) {
-  IncStats.Requests++;
+std::shared_ptr<RevisionProduct>
+Analyzer::product(std::shared_ptr<RevisionProduct> *Slot,
+                  const std::string &Path, const RequestOptions &Options,
+                  const std::string &OptionsFp, const std::string &Source,
+                  bool Incremental, bool NeedReport) {
+  std::shared_ptr<RevisionProduct> Prior = Slot ? *Slot : nullptr;
+  if (Prior && Prior->matches(Path, OptionsFp, Source) &&
+      (Prior->FullReport || !NeedReport)) {
+    IncStats.ProductHits++;
+    return Prior;
+  }
+  IncStats.EngineRuns++;
 
-  // Budget-limited outcomes are timing-dependent: not safe to memoize,
-  // and the engine refuses to capture or seed under them anyway.
-  if (Req.Options.DeadlineMs || Req.Options.MaxMemoryMb ||
-      Req.Options.ProverSteps) {
-    IncStats.ColdRuns++;
-    return analyzeWith(Req, Syms, Memo);
+  auto P = std::make_shared<RevisionProduct>();
+  P->Path = Path;
+  P->OptionsFp = OptionsFp;
+  P->Source = Source;
+  SessionOptions Opts = Options.session();
+  // Cold plain requests hand the session null handles, i.e. fresh per-run
+  // state — the classic isolated run. Incremental ones always run warm:
+  // seeding requires the recording and the seeded run to share one symbol
+  // intern table.
+  if (Incremental || Config.WarmState) {
+    Opts.Analysis.SharedSymbols = symbols();
+    Opts.Analysis.SharedMemo = closureMemo();
+  }
+  if (!Incremental || !Slot) {
+    // No trace: plain requests never seed, and the engine refuses to
+    // capture or seed a budget-limited run anyway.
+    if (Incremental)
+      IncStats.ColdRuns++;
+    P->Session = runAnalysisSession(Path, Source, Opts);
+    if (Slot)
+      *Slot = P;
+    return P;
   }
 
-  AnalyzeResponse Resp;
-  std::string OptionsFp = Req.Options.fingerprint();
-  Resp.OptionsFingerprint = OptionsFp;
-  std::uint64_t Start = nowUs();
-
-  std::string Source, Error;
-  if (!resolveSource(Req.Path, Req.Source, Source, Error,
-                     /*EmptyIsError=*/true)) {
-    Resp.Session.ExitCode = SessionExitUsage;
-    Resp.Session.Error = Error;
-    Resp.WallUs = nowUs() - Start;
-    return Resp;
-  }
-
-  AnalyzePipelineEntry *Prior = cache().findAnalyze(Req.Path);
-  if (Prior && Prior->OptionsFp == OptionsFp && Prior->Source == Source) {
-    // L0: byte-exact re-request. The cached response is plain data plus
-    // owning handles; only the wall clock is this request's own.
-    IncStats.CacheHits++;
-    AnalyzeResponse Hit = Prior->Resp;
-    Hit.FromCache = true;
-    Hit.Replay = ReplayStats();
-    Hit.WallUs = nowUs() - Start;
-    return Hit;
-  }
-
-  // Live run, always warm: seeding requires the recording and the seeded
-  // run to share one symbol intern table, so incremental requests use the
-  // Analyzer's even in cold config.
-  SessionOptions Opts = Req.Options.session();
-  Opts.Analysis.SharedSymbols = Syms;
-  Opts.Analysis.SharedMemo = Memo;
   auto Capture = std::make_shared<ReplayCapture>();
   auto RStats = std::make_shared<ReplayStats>();
   Opts.Analysis.Capture = Capture;
   Opts.Analysis.Replay = RStats;
   if (Prior && Prior->OptionsFp == OptionsFp && Prior->Trace &&
-      Prior->Resp.Session.Graph && Prior->Resp.Session.Parsed) {
+      Prior->Session.Graph && Prior->Session.Parsed) {
     auto Seed = std::make_shared<EngineSeed>();
     Seed->Trace = Prior->Trace;
-    Seed->PriorGraph = Prior->Resp.Session.Graph;
+    Seed->PriorGraph = Prior->Session.Graph;
     Seed->Symbols = Syms;
-    Seed->PriorKeepAlive = Prior->Resp.Session.Parsed;
+    Seed->PriorKeepAlive = Prior->Session.Parsed;
     Seed->OptionsFingerprint = Opts.Analysis.fingerprint();
     Opts.Analysis.Seed = std::move(Seed);
   }
 
-  Resp.Session = runAnalysisSession(Req.Path, Source, Opts);
-  Resp.WallUs = nowUs() - Start;
-  Resp.Replay = *RStats;
-
+  P->Session = runAnalysisSession(Path, Source, Opts);
+  P->Trace = Capture->Trace; // Null unless the engine converged.
+  P->Replay = *RStats;
   if (RStats->SeedUsed)
     IncStats.SeededRuns++;
   else
@@ -202,166 +197,127 @@ AnalyzeResponse Analyzer::analyzeIncremental(const AnalyzeRequest &Req) {
   IncStats.AdoptedSteps += RStats->AdoptedSteps;
   IncStats.LiveSteps += RStats->LiveSteps;
   IncStats.LastSeedRejectReason = RStats->SeedRejectReason;
-
-  AnalyzePipelineEntry Entry;
-  Entry.OptionsFp = OptionsFp;
-  Entry.Source = Source;
-  Entry.Resp = Resp;
-  Entry.Trace = Capture->Trace; // Null unless the engine converged.
-  if (Resp.Session.Parsed && Resp.Session.Parsed->succeeded()) {
-    Entry.FP = fingerprintProgram(Resp.Session.Parsed->Prog);
+  if (P->Session.Parsed && P->Session.Parsed->succeeded()) {
+    P->FP = fingerprintProgram(P->Session.Parsed->Prog);
     if (Prior)
-      IncStats.ChangedProcs += countChangedProcs(Prior->FP, Entry.FP);
+      IncStats.ChangedProcs += countChangedProcs(Prior->FP, P->FP);
   }
-  cache().putAnalyze(Req.Path, std::move(Entry));
-  return Resp;
+  *Slot = P;
+  return P;
 }
 
-LintResponse Analyzer::lintIncremental(const LintRequest &Req) {
-  IncStats.Requests++;
-
-  if (Req.Options.DeadlineMs || Req.Options.MaxMemoryMb ||
-      Req.Options.ProverSteps) {
-    IncStats.ColdRuns++;
-    return lint(Req);
-  }
-
-  LintResponse Resp;
+AnalyzeResponse Analyzer::analyzeVia(const AnalyzeRequest &Req,
+                                     bool Incremental) {
+  if (Incremental)
+    IncStats.Requests++;
+  AnalyzeResponse Resp;
+  Resp.OptionsFingerprint = Req.Options.fingerprint();
   std::uint64_t Start = nowUs();
-  std::string Key = Req.Options.fingerprint() + ";" + lintKnobsKey(Req);
 
-  std::string Source, Error;
-  if (!resolveSource(Req.Path, Req.Source, Source, Error,
-                     /*EmptyIsError=*/false)) {
-    Resp.ExitCode = SessionExitUsage;
-    Resp.Error = Error;
+  std::string Source;
+  if (!resolveSource(Req.Path, Req.Source, Source, Resp.Session.Error,
+                     /*EmptyIsError=*/true)) {
+    Resp.Session.ExitCode = SessionExitUsage;
     Resp.WallUs = nowUs() - Start;
     return Resp;
   }
 
-  LintPipelineEntry *Prior = cache().findLint(Req.Path);
-  if (Prior && Prior->Key == Key && Prior->Source == Source) {
-    IncStats.CacheHits++;
-    LintResponse Hit = Prior->Resp;
-    Hit.FromCache = true;
-    Hit.Replay = ReplayStats();
-    Hit.WallUs = nowUs() - Start;
-    return Hit;
+  bool Shared = shareable(Req.Options);
+  std::shared_ptr<RevisionProduct> *Slot =
+      !Shared ? nullptr : Incremental ? &cache().slot(Req.Path) : &Last;
+  std::shared_ptr<RevisionProduct> P =
+      product(Slot, Req.Path, Req.Options, Resp.OptionsFingerprint, Source,
+              Incremental, /*NeedReport=*/true);
+  if (Incremental && Shared) {
+    // The path's product keeps its report to replay it; only the wall
+    // clock is this request's own.
+    Resp.Session = P->Session;
+    Resp.FromCache = P->Analyzed;
+    if (P->Analyzed)
+      IncStats.CacheHits++;
+    P->Analyzed = true;
+    Resp.Replay = std::exchange(P->Replay, ReplayStats());
+  } else {
+    Resp.Session = Slot ? takeSession(*P) : std::move(P->Session);
   }
-
-  LintOptions Opts;
-  Opts.Disabled = Req.Disabled;
-  Opts.Analysis = Req.Options.analysis();
-  Opts.Analysis.SharedSymbols = Syms;
-  Opts.Analysis.SharedMemo = Memo;
-  auto Capture = std::make_shared<ReplayCapture>();
-  auto RStats = std::make_shared<ReplayStats>();
-  Opts.Analysis.Capture = Capture;
-  Opts.Analysis.Replay = RStats;
-  if (Prior && Prior->Key == Key && Prior->Trace &&
-      Prior->Artifacts.Graph && Prior->Artifacts.Parsed) {
-    auto Seed = std::make_shared<EngineSeed>();
-    Seed->Trace = Prior->Trace;
-    Seed->PriorGraph = Prior->Artifacts.Graph;
-    Seed->Symbols = Syms;
-    Seed->PriorKeepAlive = Prior->Artifacts.Parsed;
-    Seed->OptionsFingerprint = Opts.Analysis.fingerprint();
-    Opts.Analysis.Seed = std::move(Seed);
-  }
-
-  // No budget: limited requests were delegated above, and lint's passes
-  // are deterministic without one (MaxStates etc. still bound the engine).
-  DiagnosticEngine Diags;
-  LintArtifacts Artifacts;
-  lintSource(Source, Opts, Diags, &Artifacts);
-  if (Req.Werror)
-    Diags.promoteWarningsToErrors();
-  Diags.filterBelow(Req.MinSeverity);
-
-  Resp.Diagnostics = Diags.diagnostics();
-  Resp.ExitCode = Diags.exitCode();
-  for (const Diagnostic &D : Resp.Diagnostics)
-    if (D.Pass == "internal-error")
-      Resp.ExitCode = SessionExitInternal;
   Resp.WallUs = nowUs() - Start;
-  Resp.Replay = *RStats;
-
-  if (RStats->SeedUsed)
-    IncStats.SeededRuns++;
-  else
-    IncStats.ColdRuns++;
-  IncStats.AdoptedSteps += RStats->AdoptedSteps;
-  IncStats.LiveSteps += RStats->LiveSteps;
-  IncStats.LastSeedRejectReason = RStats->SeedRejectReason;
-
-  LintPipelineEntry Entry;
-  Entry.Key = Key;
-  Entry.Source = Source;
-  Entry.Resp = Resp;
-  Entry.Artifacts = Artifacts;
-  Entry.Trace = Capture->Trace;
-  if (Artifacts.Parsed && Artifacts.Parsed->succeeded()) {
-    Entry.FP = fingerprintProgram(Artifacts.Parsed->Prog);
-    if (Prior)
-      IncStats.ChangedProcs += countChangedProcs(Prior->FP, Entry.FP);
-  }
-  cache().putLint(Req.Path, std::move(Entry));
   return Resp;
 }
 
-LintResponse Analyzer::lint(const LintRequest &Req) {
+LintResponse Analyzer::lintVia(const LintRequest &Req, bool Incremental) {
+  if (Incremental)
+    IncStats.Requests++;
   LintResponse Resp;
   std::uint64_t Start = nowUs();
 
   std::string Source;
-  if (Req.Source) {
-    Source = *Req.Source;
-  } else {
-    std::string Error;
-    if (!readSessionFile(Req.Path, Source, Error)) {
-      Resp.ExitCode = SessionExitUsage;
-      Resp.Error = Error;
-      Resp.WallUs = nowUs() - Start;
-      return Resp;
-    }
+  if (!resolveSource(Req.Path, Req.Source, Source, Resp.Error,
+                     /*EmptyIsError=*/false)) {
+    Resp.ExitCode = SessionExitUsage;
+    Resp.WallUs = nowUs() - Start;
+    return Resp;
   }
 
   LintOptions Opts;
   Opts.Disabled = Req.Disabled;
   Opts.Analysis = Req.Options.analysis();
-  if (Config.WarmState) {
-    Opts.Analysis.SharedSymbols = Syms;
-    Opts.Analysis.SharedMemo = Memo;
-  }
-
-  AnalysisBudget Budget;
-  Budget.DeadlineMs = Req.Options.DeadlineMs;
-  Budget.MaxMemoryMb = Req.Options.MaxMemoryMb;
-  Budget.MaxProverSteps = Req.Options.ProverSteps;
-  Budget.begin();
-  // The scope arms the parser/sema checkpoints (they reach the budget
-  // through the thread-local, not AnalysisOptions), so the deadline
-  // covers lint's front end too.
-  BudgetScope Budgets(&Budget);
-  Opts.Analysis.Budget = &Budget;
-
   DiagnosticEngine Diags;
-  try {
-    lintSource(Source, Opts, Diags);
-  } catch (const BudgetExceeded &E) {
-    // The budget tripped outside the engine (parse, sema, or a
-    // post-engine pass): degrade like the engine's own give-up instead of
-    // dying.
-    if (Opts.isEnabled("analysis-top"))
-      Diags.report(makeDiag("analysis-top", DiagSeverity::Note, SourceLoc(),
-                            "lint gave up (Top): " + E.reason(),
-                            "budget exhausted before the pass suite "
-                            "finished; findings may be incomplete"));
+  std::shared_ptr<RevisionProduct> P;
+  std::string Knobs;
+  if (shareable(Req.Options)) {
+    P = product(Incremental ? &cache().slot(Req.Path) : &Last, Req.Path,
+                Req.Options, Req.Options.fingerprint(), Source, Incremental,
+                /*NeedReport=*/false);
+    if (Incremental) {
+      Knobs = lintKnobsKey(Req);
+      if (P->Lint && P->LintKnobs == Knobs) {
+        IncStats.CacheHits++;
+        LintResponse Hit = *P->Lint;
+        Hit.FromCache = true;
+        Hit.Replay = ReplayStats();
+        Hit.WallUs = nowUs() - Start;
+        return Hit;
+      }
+    }
+    const SessionResult &S = P->Session;
+    lintAnalyzed(*S.Parsed, S.Sema, S.Graph.get(), S.Report.Analysis, Opts,
+                 Diags);
+  } else {
+    // Lint's own pipeline, under the request's budget.
+    if (Incremental)
+      IncStats.ColdRuns++;
+    IncStats.EngineRuns++;
+    if (Config.WarmState) {
+      Opts.Analysis.SharedSymbols = symbols();
+      Opts.Analysis.SharedMemo = closureMemo();
+    }
+    AnalysisBudget Budget;
+    Budget.DeadlineMs = Req.Options.DeadlineMs;
+    Budget.MaxMemoryMb = Req.Options.MaxMemoryMb;
+    Budget.MaxProverSteps = Req.Options.ProverSteps;
+    Budget.begin();
+    // The scope arms the parser/sema checkpoints (they reach the budget
+    // through the thread-local, not AnalysisOptions), so the deadline
+    // covers lint's front end too.
+    BudgetScope Budgets(&Budget);
+    Opts.Analysis.Budget = &Budget;
+    try {
+      lintSource(Source, Opts, Diags);
+    } catch (const BudgetExceeded &E) {
+      // The budget tripped outside the engine (parse, sema, or a
+      // post-engine pass): degrade like the engine's own give-up instead
+      // of dying.
+      if (Opts.isEnabled("analysis-top"))
+        Diags.report(makeDiag("analysis-top", DiagSeverity::Note,
+                              SourceLoc(), "lint gave up (Top): " + E.reason(),
+                              "budget exhausted before the pass suite "
+                              "finished; findings may be incomplete"));
+    }
   }
+
   if (Req.Werror)
     Diags.promoteWarningsToErrors();
   Diags.filterBelow(Req.MinSeverity);
-
   Resp.Diagnostics = Diags.diagnostics();
   Resp.ExitCode = Diags.exitCode();
   // A recovered engine invariant violation outranks ordinary findings.
@@ -369,6 +325,11 @@ LintResponse Analyzer::lint(const LintRequest &Req) {
     if (D.Pass == "internal-error")
       Resp.ExitCode = SessionExitInternal;
   Resp.WallUs = nowUs() - Start;
+  if (Incremental && P) {
+    Resp.Replay = std::exchange(P->Replay, ReplayStats());
+    P->LintKnobs = std::move(Knobs);
+    P->Lint = Resp;
+  }
   return Resp;
 }
 
@@ -399,7 +360,7 @@ BatchReport Analyzer::runBatch(const BatchRequest &Req) {
   // Warm analyzers amortize across batches too; a cold one still shares
   // within the batch (the mode's whole point), then drops the memo.
   std::shared_ptr<ClosureMemo> SharedMemo =
-      Config.WarmState ? Memo
+      Config.WarmState ? closureMemo()
                        : std::make_shared<ClosureMemo>(/*CrossSession=*/true);
 
   {

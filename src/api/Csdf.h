@@ -26,7 +26,8 @@
 /// symbol intern table and the cross-session closure memo — so a
 /// long-lived holder (the serve daemon) amortizes closure work across
 /// requests, while a cold Analyzer (the one-shot CLI) reproduces the
-/// classic fully-isolated run bit for bit. Layering: api wraps
+/// classic fully-isolated run bit for bit. Analyze and lint of one
+/// revision share one engine run (api/Pipeline.h). Layering: api wraps
 /// driver/Session (the fail-safe pipeline) and driver/Batch (process
 /// isolation); it never reaches around them into the engine.
 ///
@@ -79,8 +80,8 @@ struct AnalyzeResponse {
   /// traced back to the exact option set.
   std::string OptionsFingerprint;
 
-  /// True when an incremental entry point answered this request from its
-  /// cache without running the pipeline (exact source + options match).
+  /// True when an incremental entry point replayed an earlier analyze
+  /// response of the same revision (exact path + source + options match).
   bool FromCache = false;
 
   /// Engine adoption counters when the run went through the incremental
@@ -121,8 +122,8 @@ struct LintResponse {
 
   std::uint64_t WallUs = 0;
 
-  /// True when lintIncremental answered from its cache (exact source +
-  /// options match) without running any pass.
+  /// True when lintIncremental replayed an earlier lint response (exact
+  /// path + source + options + lint knobs match) without running any pass.
   bool FromCache = false;
 
   /// Engine adoption counters when the run went through the incremental
@@ -167,10 +168,12 @@ struct AnalyzerConfig {
 };
 
 class PipelineCache;
+struct RevisionProduct;
 
 /// Lifetime counters of the incremental entry points
-/// (Analyzer::analyzeIncremental / lintIncremental). Reported by the
-/// serve daemon's "stats" request.
+/// (Analyzer::analyzeIncremental / lintIncremental); EngineRuns and
+/// ProductHits count all four entry points. Reported by the serve
+/// daemon's "stats" request.
 struct IncrementalStats {
   /// Incremental requests received (analyze + lint).
   std::uint64_t Requests = 0;
@@ -189,6 +192,10 @@ struct IncrementalStats {
   std::uint64_t ChangedProcs = 0;
   /// Why the most recent seed was rejected; empty when it was accepted.
   std::string LastSeedRejectReason;
+  /// Pipeline runs (front end through engine), and requests answered
+  /// from an existing revision product instead (replays included).
+  std::uint64_t EngineRuns = 0;
+  std::uint64_t ProductHits = 0;
 };
 
 /// The facade handle. Thread-compatible, not thread-safe: issue requests
@@ -206,38 +213,51 @@ public:
   /// Runs one analysis session (read file if needed, parse, sema, CFG,
   /// pCFG engine, client passes) under the request's budget. Never
   /// throws; failures are folded into the response per the session
-  /// contract.
-  AnalyzeResponse analyze(const AnalyzeRequest &Req);
+  /// contract. Reuses the session a lint() of the same path, source and
+  /// options just ran.
+  AnalyzeResponse analyze(const AnalyzeRequest &Req) {
+    return analyzeVia(Req, /*Incremental=*/false);
+  }
 
   /// Runs the lint pass suite under the request's budget. Never throws.
-  LintResponse lint(const LintRequest &Req);
+  /// After an analyze() of the same path, source and options it reads
+  /// that run's result instead of running the engine. Requests with
+  /// budget limits or test hooks share nothing.
+  LintResponse lint(const LintRequest &Req) {
+    return lintVia(Req, /*Incremental=*/false);
+  }
 
   /// analyze() through the incremental pipeline (see api/Pipeline.h). An
   /// exact re-request (same path, source bytes, and options) is answered
-  /// from the cached response; an edited revision re-runs the pipeline
+  /// from the path's product (the cached response, or what a
+  /// lintIncremental left); an edited revision re-runs the pipeline
   /// with the prior run's engine trace attached as a seed, so worklist
   /// steps whose CFG footprint is unchanged are adopted instead of
   /// recomputed. The verdict is bit-identical to analyze() in every case;
   /// only the work to produce it differs. Requests with budget limits
-  /// (deadline, memory, prover steps) bypass the cache entirely — their
-  /// outcomes are timing-dependent and not safe to replay or memoize.
+  /// (deadline, memory, prover steps) or test hooks bypass the cache
+  /// entirely — their outcomes are not safe to replay or memoize.
   /// Incremental requests always run warm (shared symbols and closure
   /// memo), even on a cold-configured Analyzer: seeding requires the
   /// recording and seeded runs to share one intern table.
-  AnalyzeResponse analyzeIncremental(const AnalyzeRequest &Req);
+  AnalyzeResponse analyzeIncremental(const AnalyzeRequest &Req) {
+    return analyzeVia(Req, /*Incremental=*/true);
+  }
 
   /// lint() through the incremental pipeline; same contract as
   /// analyzeIncremental. This is what the LSP server calls per keystroke.
-  LintResponse lintIncremental(const LintRequest &Req);
+  LintResponse lintIncremental(const LintRequest &Req) {
+    return lintVia(Req, /*Incremental=*/true);
+  }
 
   /// Lifetime counters of the incremental entry points.
   const IncrementalStats &incrementalStats() const { return IncStats; }
 
-  /// The cross-session closure memo shared by this Analyzer's requests.
-  /// Exposed so a long-lived holder can persist it across restarts
-  /// (serve's --memo-dir snapshots, numeric/MemoSnapshot.h); treat it as
-  /// read/insert-only.
-  const std::shared_ptr<ClosureMemo> &closureMemo() const { return Memo; }
+  /// The cross-session closure memo shared by this Analyzer's requests
+  /// (created on first use). Exposed so a long-lived holder can persist
+  /// it across restarts (serve's --memo-dir snapshots,
+  /// numeric/MemoSnapshot.h); treat it as read/insert-only.
+  const std::shared_ptr<ClosureMemo> &closureMemo() const;
 
   /// Runs every file through an isolated session. Fork mode delegates to
   /// the process-per-file driver; threads mode runs sessions on this
@@ -247,22 +267,37 @@ public:
   BatchReport runBatch(const BatchRequest &Req);
 
 private:
-  AnalyzeResponse analyzeWith(const AnalyzeRequest &Req,
-                              std::shared_ptr<SymbolTable> Syms,
-                              std::shared_ptr<ClosureMemo> Memo);
+  AnalyzeResponse analyzeVia(const AnalyzeRequest &Req, bool Incremental);
+  LintResponse lintVia(const LintRequest &Req, bool Incremental);
+
+  /// The one way an entry point obtains the analysis of (Path, Options,
+  /// Source): *Slot when it is that revision's product (with its full
+  /// report, if \p NeedReport), else one built by a single
+  /// runAnalysisSession and stored into *Slot. A null Slot (budgeted or
+  /// test-hook requests) builds a private product. Incremental builds
+  /// capture a trace, seeded by the slot's prior product.
+  std::shared_ptr<RevisionProduct>
+  product(std::shared_ptr<RevisionProduct> *Slot, const std::string &Path,
+          const RequestOptions &Options, const std::string &OptionsFp,
+          const std::string &Source, bool Incremental, bool NeedReport);
+
+  /// The shared symbol table, built on first warm or incremental use.
+  const std::shared_ptr<SymbolTable> &symbols();
 
   /// Lazily (re)built pool for threads-mode batches.
   ThreadPool &pool(unsigned Workers);
 
-  /// Lazily constructed per-path entry cache of the incremental pipeline.
+  /// Lazily constructed per-path product cache of the incremental pipeline.
   PipelineCache &cache();
 
   AnalyzerConfig Config;
   std::shared_ptr<SymbolTable> Syms;
-  std::shared_ptr<ClosureMemo> Memo;
+  mutable std::shared_ptr<ClosureMemo> Memo;
   std::unique_ptr<ThreadPool> Pool;
   unsigned PoolWorkers = 0;
   std::unique_ptr<PipelineCache> Cache;
+  /// The product of the last plain analyze()/lint() revision.
+  std::shared_ptr<RevisionProduct> Last;
   IncrementalStats IncStats;
 };
 

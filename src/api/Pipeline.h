@@ -1,158 +1,122 @@
-//===- api/Pipeline.h - The incremental analysis pipeline cache -----------===//
+//===- api/Pipeline.h - Per-revision analysis products --------------------===//
 //
 // Part of the csdf project, under the Apache License v2.0.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// State the incremental entry points (Analyzer::analyzeIncremental,
-/// Analyzer::lintIncremental) keep between requests, keyed by document
-/// path. Each entry remembers, for the last analyzed revision of one
-/// document: the exact source bytes and options fingerprint (the L0 key —
-/// an exact match is answered from the cached response without running
-/// anything), the canonical per-procedure content fingerprints (see
-/// lang/Fingerprint.h — they tell the stats layer *which* procedures an
-/// edit touched), and the prior run's parse tree, CFG, and engine trace
-/// (the seed for pcfg/Replay.h's validated step adoption on the next
-/// revision).
+/// The one value every Analyzer entry point reads: the product of one
+/// analysis session over one source revision, keyed by (path,
+/// RequestOptions::fingerprint(), exact source bytes). analyze and lint of
+/// the same revision share it, so the pair runs the front end and the pCFG
+/// engine once. A plain Analyzer remembers the product of its last
+/// revision; the incremental entry points keep one per document path in a
+/// PipelineCache, together with the engine trace that seeds the path's
+/// next revision (pcfg/Replay.h's validated step adoption) and the
+/// responses an exact re-request replays.
 ///
-/// Correctness note: the cached artifacts never substitute for analysis
-/// on a changed document. An edited revision always re-runs the full
+/// Correctness note: a product never substitutes for analysis of a
+/// different revision. An edited revision always re-runs the full
 /// pipeline; the trace only lets the engine adopt recorded steps whose
-/// CFG footprint is provably unchanged, so the incremental verdict is
-/// bit-identical to a cold run by construction.
+/// CFG footprint is provably unchanged, so the verdict is bit-identical
+/// to a cold run by construction.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CSDF_API_PIPELINE_H
 #define CSDF_API_PIPELINE_H
 
-#include "analysis/Lint.h"
 #include "api/Csdf.h"
+#include "driver/Session.h"
 #include "lang/Fingerprint.h"
 #include "pcfg/Replay.h"
 
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 
 namespace csdf {
 class AnalysisTrace;
-class Cfg;
-struct ParseResult;
 } // namespace csdf
 
 namespace csdf::api {
 
-/// What the pipeline remembers about the last analyzed revision of one
-/// document (analyze flavor). Resp owns the parse tree and CFG through
-/// its SessionResult; Trace points into that parse tree's AST.
-struct AnalyzePipelineEntry {
-  /// RequestOptions::fingerprint() of the run that produced this entry.
+/// Everything one analysis session produced for one source revision.
+struct RevisionProduct {
+  std::string Path;
+  /// RequestOptions::fingerprint() of the request that built it.
   std::string OptionsFp;
   /// Exact source bytes analyzed.
   std::string Source;
-  /// Canonical content fingerprints of that revision.
-  ProgramFingerprints FP;
-  /// The full cached response (plain data plus the owning Parsed/Graph
-  /// handles) — returned verbatim on an exact re-request.
-  AnalyzeResponse Resp;
-  /// The converged engine trace, when one was captured; null after a
-  /// degraded or front-end-failed run.
+
+  /// The session over Source: parse result with its diagnostics, sema
+  /// result, CFG and ClientReport. Parsed and Graph are shared with every
+  /// response built from this product.
+  SessionResult Session;
+  /// False once a plain analyze() moved the ClientReport into its
+  /// response. Session.Report.Analysis then keeps only what lint reads
+  /// (Outcome, Converged, TopReason, Bugs), and the next analyze() of
+  /// this revision builds a new product.
+  bool FullReport = true;
+
+  /// Incremental products only: the converged engine trace (null after a
+  /// degraded or front-end-failed run), the revision's canonical content
+  /// fingerprints, and the adoption counters of the run that built it
+  /// (handed to the first response built from it, zero after).
   std::shared_ptr<const AnalysisTrace> Trace;
+  ProgramFingerprints FP;
+  ReplayStats Replay;
+
+  /// What the incremental entry points replay on an exact re-request:
+  /// whether an analyze response was already built from this product, and
+  /// the last lint response with the key of its lint-only knobs.
+  bool Analyzed = false;
+  std::string LintKnobs;
+  std::optional<LintResponse> Lint;
+
+  bool matches(const std::string &P, const std::string &Fp,
+               const std::string &Src) const {
+    return Path == P && OptionsFp == Fp && Source == Src;
+  }
 };
 
-/// Lint flavor of the above. Artifacts are the lint pipeline's own parse
-/// tree and CFG (lint does not go through driver/Session).
-struct LintPipelineEntry {
-  /// Full lint cache key: options fingerprint plus the lint-only knobs
-  /// (werror, min severity, disabled passes).
-  std::string Key;
-  std::string Source;
-  ProgramFingerprints FP;
-  LintResponse Resp;
-  LintArtifacts Artifacts;
-  std::shared_ptr<const AnalysisTrace> Trace;
-};
-
-/// Per-path LRU over the two entry flavors. Bounded: editors hold a
-/// handful of documents, but a batch misusing the incremental entry
-/// points must not accumulate one AST + trace per corpus file forever.
+/// Per-path LRU of products. Bounded: editors hold a handful of
+/// documents, but a batch misusing the incremental entry points must not
+/// accumulate one AST + trace per corpus file forever.
 class PipelineCache {
 public:
   explicit PipelineCache(std::size_t Capacity = 64) : Capacity(Capacity) {}
 
-  AnalyzePipelineEntry *findAnalyze(const std::string &Path) {
-    return find(Analyze, AnalyzeLru, Path);
-  }
-  LintPipelineEntry *findLint(const std::string &Path) {
-    return find(Lint, LintLru, Path);
-  }
-  void putAnalyze(const std::string &Path, AnalyzePipelineEntry Entry) {
-    put(Analyze, AnalyzeLru, Path, std::move(Entry));
-  }
-  void putLint(const std::string &Path, LintPipelineEntry Entry) {
-    put(Lint, LintLru, Path, std::move(Entry));
-  }
-  /// Drops both flavors for \p Path (LSP didClose).
-  void erase(const std::string &Path) {
-    erase(Analyze, AnalyzeLru, Path);
-    erase(Lint, LintLru, Path);
-  }
-  std::size_t entries() const { return Analyze.size() + Lint.size(); }
-
-private:
-  template <typename EntryT> struct Slot {
-    EntryT Entry;
-    std::list<std::string>::iterator LruIt;
-  };
-
-  template <typename EntryT>
-  EntryT *find(std::unordered_map<std::string, Slot<EntryT>> &Map,
-               std::list<std::string> &Lru, const std::string &Path) {
-    auto It = Map.find(Path);
-    if (It == Map.end())
-      return nullptr;
-    Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-    return &It->second.Entry;
-  }
-
-  template <typename EntryT>
-  void put(std::unordered_map<std::string, Slot<EntryT>> &Map,
-           std::list<std::string> &Lru, const std::string &Path,
-           EntryT Entry) {
+  /// The product slot of \p Path, marked most recently used. A path seen
+  /// for the first time gets an empty slot, evicting the least recently
+  /// used path at capacity. The reference stays valid until the next
+  /// call.
+  std::shared_ptr<RevisionProduct> &slot(const std::string &Path) {
     auto It = Map.find(Path);
     if (It != Map.end()) {
-      It->second.Entry = std::move(Entry);
       Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-      return;
+      return It->second.Product;
     }
     if (Capacity && Map.size() >= Capacity && !Lru.empty()) {
       Map.erase(Lru.back());
       Lru.pop_back();
     }
     Lru.push_front(Path);
-    Map.emplace(Path, Slot<EntryT>{std::move(Entry), Lru.begin()});
+    return Map.emplace(Path, Slot{nullptr, Lru.begin()}).first->second.Product;
   }
 
-  template <typename EntryT>
-  void erase(std::unordered_map<std::string, Slot<EntryT>> &Map,
-             std::list<std::string> &Lru, const std::string &Path) {
-    auto It = Map.find(Path);
-    if (It == Map.end())
-      return;
-    Lru.erase(It->second.LruIt);
-    Map.erase(It);
-  }
+private:
+  struct Slot {
+    std::shared_ptr<RevisionProduct> Product;
+    std::list<std::string>::iterator LruIt;
+  };
 
   std::size_t Capacity;
-  std::unordered_map<std::string, Slot<AnalyzePipelineEntry>> Analyze;
-  std::unordered_map<std::string, Slot<LintPipelineEntry>> Lint;
-  std::list<std::string> AnalyzeLru;
-  std::list<std::string> LintLru;
+  std::unordered_map<std::string, Slot> Map;
+  std::list<std::string> Lru;
 };
 
 } // namespace csdf::api

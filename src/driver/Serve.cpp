@@ -84,6 +84,7 @@ std::string ServeStats::json(std::size_t CacheEntries,
   S += ",\"disk_read_failures\":" + std::to_string(DiskReadFailures);
   S += ",\"disk_write_failures\":" + std::to_string(DiskWriteFailures);
   S += ",\"disk_writes\":" + std::to_string(DiskWrites);
+  S += ",\"engine_runs\":" + std::to_string(EngineRuns);
   S += ",\"errors\":" + std::to_string(Errors);
   S += ",\"evictions\":" + std::to_string(Evictions);
   S += ",\"hit_rate\":" + std::string(Rate);
@@ -99,6 +100,7 @@ std::string ServeStats::json(std::size_t CacheEntries,
   S += ",\"memo_snapshot_rejected\":" + std::to_string(MemoSnapshotRejected);
   S += ",\"memo_snapshot_saves\":" + std::to_string(MemoSnapshotSaves);
   S += ",\"misses\":" + std::to_string(Misses);
+  S += ",\"product_hits\":" + std::to_string(ProductHits);
   S += ",\"proto\":" + std::to_string(api::WireProtoVersion);
   S += ",\"requests\":" + std::to_string(Requests);
   S += ",\"seeded_runs\":" + std::to_string(SeededRuns);
@@ -149,6 +151,8 @@ const ServeStats &ServeServer::stats() {
   Stats.AdoptedSteps = I.AdoptedSteps;
   Stats.LiveSteps = I.LiveSteps;
   Stats.LastSeedReject = I.LastSeedRejectReason;
+  Stats.EngineRuns = I.EngineRuns;
+  Stats.ProductHits = I.ProductHits;
   Stats.MemoEntries = Analyzer.closureMemo()->size();
   // The closure counters accumulate in the process-global registry (every
   // engine run records there); mirroring them here is what lets the fleet

@@ -165,6 +165,11 @@ struct ServeStats {
   std::uint64_t LiveSteps = 0;
   /// Why the most recent seed was rejected (empty: accepted or none).
   std::string LastSeedReject;
+  /// Pipeline runs (front end through engine) of the warm Analyzer, and
+  /// requests it answered from an existing revision product instead: a
+  /// lint after an analyze of the same revision adds one to each.
+  std::uint64_t EngineRuns = 0;
+  std::uint64_t ProductHits = 0;
 
   /// ClosureMemo snapshot tier (--memo-dir), plus the process-global
   /// closure counters it exists to reduce: a restarted shard that adopted

@@ -146,17 +146,16 @@ SessionResult csdf::runAnalysisSession(const std::string &Path,
   }
   // Sema polls the same budget checkpoints as the parser, so a deadline
   // that trips during semantic checking degrades the same way.
-  SemaResult Sema;
   try {
-    Sema = checkProgram(Parsed.Prog);
+    R.Sema = checkProgram(Parsed.Prog);
   } catch (const BudgetExceeded &E) {
     Degrade(E);
     return R;
   }
-  if (Sema.hasErrors()) {
+  if (R.Sema.hasErrors()) {
     R.FrontEndErrors = true;
     std::string Msg;
-    for (const SemaDiagnostic &D : Sema.Diagnostics)
+    for (const SemaDiagnostic &D : R.Sema.Diagnostics)
       Msg += Path + ": " + D.str() + "\n";
     R.Error = Msg;
     R.ExitCode = SessionExitFindings;
@@ -183,6 +182,7 @@ SessionResult csdf::runAnalysisSession(const std::string &Path,
   } catch (const EngineError &E) {
     R.Outcome.Verdict = AnalysisVerdict::InternalError;
     R.Outcome.Reason = E.what();
+    R.Report.Analysis.Outcome = R.Outcome;
     R.Error = std::string("internal error: ") + E.what();
     R.ExitCode = SessionExitInternal;
     Stamp();

@@ -26,6 +26,7 @@
 
 #include "analysis/Clients.h"
 #include "lang/Parser.h"
+#include "lang/Sema.h"
 #include "pcfg/AnalysisOptions.h"
 #include "support/Budget.h"
 
@@ -77,12 +78,17 @@ struct SessionResult {
   bool FrontEndErrors = false;
 
   /// Full analysis report; meaningful only when the pipeline reached the
-  /// engine.
+  /// engine. An internal error caught after the engine (CFG construction,
+  /// a client pass) is also recorded in Report.Analysis.Outcome.
   ClientReport Report;
 
-  /// The parsed program. The Cfg stores pointers into this AST, so it
-  /// must stay alive as long as Graph is used.
+  /// The parsed program, with its diagnostics. The Cfg stores pointers
+  /// into this AST, so it must stay alive as long as Graph is used.
   std::shared_ptr<ParseResult> Parsed;
+
+  /// Semantic-check diagnostics, warnings included (empty when parsing
+  /// failed).
+  SemaResult Sema;
 
   /// The program's CFG (set once the front end succeeded) — callers need
   /// it to render node labels for Report.
