@@ -45,6 +45,8 @@ struct ProfileRow {
   long CowCopies = 0;
   long CowDetaches = 0;
   long MemoHits = 0;
+  unsigned StatesExplored = 0;
+  unsigned ConfigsVisited = 0;
   bool Converged = false;
 };
 
@@ -59,6 +61,8 @@ ProfileRow profileRun(int Repeats) {
     Stats.clear();
     AnalysisResult Result = analyzeProgram(Graph, Opts, &Stats);
     Row.Converged = Result.Converged;
+    Row.StatesExplored = Result.StatesExplored;
+    Row.ConfigsVisited = Result.ConfigsVisited;
   }
   Row.TotalSec = Stats.seconds("pcfg.analysis.seconds");
   Row.ClosureSec = Stats.seconds("cg.closure.seconds");
@@ -96,11 +100,13 @@ int writeJson(const std::string &Path) {
       "\"full_closures\": %ld, \"full_avg_vars\": %.1f, "
       "\"incremental_closures\": %ld, \"incr_avg_vars\": %.1f, "
       "\"cow_copies\": %ld, \"cow_detaches\": %ld, "
-      "\"memo_hits\": %ld, \"converged\": %s}",
+      "\"memo_hits\": %ld, \"states_explored\": %u, "
+      "\"configs_visited\": %u, \"converged\": %s}",
       static_cast<long long>(Row.TotalSec * 1e9),
       static_cast<long long>(Row.ClosureSec * 1e9), Row.FullCalls,
       Row.FullAvgVars, Row.IncrCalls, Row.IncrAvgVars, Row.CowCopies,
-      Row.CowDetaches, Row.MemoHits, Row.Converged ? "true" : "false");
+      Row.CowDetaches, Row.MemoHits, Row.StatesExplored, Row.ConfigsVisited,
+      Row.Converged ? "true" : "false");
   std::fprintf(Out, "\n]\n}\n");
   std::fclose(Out);
   std::printf("wrote fan-out profile to %s\n", Path.c_str());

@@ -50,22 +50,6 @@ bool resolveSource(const std::string &Path,
   return readSessionFile(Path, Source, Error);
 }
 
-/// Procedures (and the main body, keyed "") whose canonical fingerprint
-/// differs between two revisions — added, removed, or edited.
-std::uint64_t countChangedProcs(const ProgramFingerprints &Old,
-                                const ProgramFingerprints &New) {
-  std::uint64_t Changed = Old.Main != New.Main ? 1 : 0;
-  for (const auto &[Name, Hash] : New.Procs) {
-    auto It = Old.Procs.find(Name);
-    if (It == Old.Procs.end() || It->second != Hash)
-      ++Changed;
-  }
-  for (const auto &[Name, Hash] : Old.Procs)
-    if (!New.Procs.count(Name))
-      ++Changed;
-  return Changed;
-}
-
 /// Canonical key of the lint-only request knobs, layered on top of the
 /// shared options fingerprint (same shape the serve daemon uses for its
 /// lint cache keys).
@@ -197,11 +181,6 @@ Analyzer::product(std::shared_ptr<RevisionProduct> *Slot,
   IncStats.AdoptedSteps += RStats->AdoptedSteps;
   IncStats.LiveSteps += RStats->LiveSteps;
   IncStats.LastSeedRejectReason = RStats->SeedRejectReason;
-  if (P->Session.Parsed && P->Session.Parsed->succeeded()) {
-    P->FP = fingerprintProgram(P->Session.Parsed->Prog);
-    if (Prior)
-      IncStats.ChangedProcs += countChangedProcs(Prior->FP, P->FP);
-  }
   *Slot = P;
   return P;
 }

@@ -187,9 +187,6 @@ struct IncrementalStats {
   std::uint64_t AdoptedSteps = 0;
   /// Engine worklist steps computed live.
   std::uint64_t LiveSteps = 0;
-  /// Procedures whose canonical fingerprint changed vs the prior revision,
-  /// summed over seed-capable requests.
-  std::uint64_t ChangedProcs = 0;
   /// Why the most recent seed was rejected; empty when it was accepted.
   std::string LastSeedRejectReason;
   /// Pipeline runs (front end through engine), and requests answered

@@ -28,7 +28,6 @@
 
 #include "api/Csdf.h"
 #include "driver/Session.h"
-#include "lang/Fingerprint.h"
 #include "pcfg/Replay.h"
 
 #include <cstdint>
@@ -63,11 +62,10 @@ struct RevisionProduct {
   bool FullReport = true;
 
   /// Incremental products only: the converged engine trace (null after a
-  /// degraded or front-end-failed run), the revision's canonical content
-  /// fingerprints, and the adoption counters of the run that built it
-  /// (handed to the first response built from it, zero after).
+  /// degraded or front-end-failed run) and the adoption counters of the
+  /// run that built it (handed to the first response built from it, zero
+  /// after).
   std::shared_ptr<const AnalysisTrace> Trace;
-  ProgramFingerprints FP;
   ReplayStats Replay;
 
   /// What the incremental entry points replay on an exact re-request:

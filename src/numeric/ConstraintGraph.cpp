@@ -140,16 +140,6 @@ unsigned ConstraintGraph::ensureSlot(VarId Id) {
   return Slot;
 }
 
-std::optional<unsigned>
-ConstraintGraph::slotForOther(const ConstraintGraph &O, VarId Id) const {
-  if (Syms == O.Syms)
-    return slotOf(Id);
-  auto Mine = Syms->lookup(O.Syms->name(Id));
-  if (!Mine)
-    return std::nullopt;
-  return slotOf(*Mine);
-}
-
 unsigned ConstraintGraph::ensureVar(const std::string &Name) {
   assert(Name != ZeroVarName && "the zero variable is internal");
   return ensureSlot(Syms->intern(Name));
@@ -174,12 +164,11 @@ std::vector<std::string> ConstraintGraph::varNames() const {
   return Names;
 }
 
-void ConstraintGraph::removeVarsIf(
-    const std::function<bool(const std::string &)> &Pred) {
+void ConstraintGraph::removeVarsIf(const std::function<bool(VarId)> &Pred) {
   std::vector<bool> Drop(Vars.size(), false);
   bool Any = false;
   for (unsigned I = 1; I < Vars.size(); ++I) {
-    if (Pred(Syms->name(Vars[I]))) {
+    if (Pred(Vars[I])) {
       Drop[I] = true;
       Any = true;
     }
@@ -196,13 +185,21 @@ void ConstraintGraph::removeVarsIf(
   // Projection of a closed matrix is closed.
 }
 
-void ConstraintGraph::renameVars(
-    const std::vector<std::pair<std::string, std::string>> &Renames) {
+void ConstraintGraph::removeVar(const std::string &Name) {
+  if (auto Id = Syms->lookup(Name))
+    removeVarsIf([&](VarId Var) { return Var == *Id; });
+}
+
+void ConstraintGraph::renameNamespaces(const NsRenaming &Renames) {
+  if (Renames.empty())
+    return;
   for (VarId &Id : Vars) {
-    const std::string &Name = Syms->name(Id);
+    NsId Ns = Syms->nsOf(Id);
+    if (Ns == NoNs)
+      continue;
     for (const auto &[From, To] : Renames) {
-      if (Name == From) {
-        Id = Syms->intern(To);
+      if (Ns == From) {
+        Id = Syms->inNamespace(Id, To);
         break;
       }
     }
@@ -212,6 +209,20 @@ void ConstraintGraph::renameVars(
     for (unsigned J = I + 1; J < Vars.size(); ++J)
       assert(Vars[I] != Vars[J] && "rename produced duplicate variables");
 #endif
+}
+
+void ConstraintGraph::equateNamespace(NsId From, NsId To,
+                                      const std::function<bool(VarId)> &Keep) {
+  // Walk a snapshot: siblings are appended while walking.
+  std::vector<VarId> Ids = Vars;
+  for (VarId Id : Ids) {
+    if (Syms->nsOf(Id) != From || !Keep(Id))
+      continue;
+    unsigned I = ensureSlot(Syms->inNamespace(Id, To));
+    unsigned J = ensureSlot(Id);
+    addEdge(I, J, 0);
+    addEdge(J, I, 0);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -500,32 +511,53 @@ std::optional<std::int64_t> ConstraintGraph::constValue(
   return std::nullopt;
 }
 
-std::vector<LinearExpr> ConstraintGraph::equivalentForms(
-    const LinearExpr &E) const {
-  std::vector<LinearExpr> Forms = {E};
+void ConstraintGraph::aliasesOf(const LinearExpr &E,
+                                std::vector<IdForm> &Out) const {
+  // Interning (rather than looking up) E's variable gives forms over
+  // variables this graph lacks an id too, so callers can compare them.
+  VarId Id = E.isConstant() ? InvalidVarId : Syms->intern(E.var());
+  Out.push_back({Id, E.constant()});
   if (!isFeasible())
-    return Forms;
-  auto Base = encodeConst(E);
-  if (!Base)
-    return Forms;
-  close();
-  auto [I, C] = *Base;
+    return;
+  unsigned I = zeroSlot();
+  if (Id != InvalidVarId) {
+    auto Slot = slotOf(Id);
+    if (!Slot || *Slot == zeroSlot())
+      return;
+    I = *Slot;
+  }
   const DbmStorage &M = Cow.ro().M;
+  const std::int64_t *RowI = M.rows() + static_cast<std::size_t>(I) *
+                                            M.rowStride();
   unsigned N = static_cast<unsigned>(Vars.size());
   for (unsigned V = 0; V < N; ++V) {
     if (V == I)
       continue;
+    std::int64_t Down = RowI[V];
+    if (Down >= DbmInfinity)
+      continue;
     std::int64_t Up = M.get(V, I);
-    std::int64_t Down = M.get(I, V);
-    if (Up >= DbmInfinity || Down >= DbmInfinity || Up != -Down)
+    if (Up >= DbmInfinity || Up != -Down)
       continue;
     // v == v_I + Up, so v_I + C == v + (C - Up); when v is the zero
     // variable the form is the constant C - Up.
-    if (V == zeroSlot())
-      Forms.push_back(LinearExpr(C - Up));
-    else
-      Forms.push_back(LinearExpr(Syms->name(Vars[V]), C - Up));
+    Out.push_back({V == zeroSlot() ? InvalidVarId : Vars[V], E.constant() - Up});
   }
+}
+
+LinearExpr ConstraintGraph::formExpr(const IdForm &F) const {
+  if (F.Id == InvalidVarId)
+    return LinearExpr(F.C);
+  return LinearExpr(Syms->name(F.Id), F.C);
+}
+
+std::vector<LinearExpr> ConstraintGraph::equivalentForms(
+    const LinearExpr &E) const {
+  std::vector<IdForm> Aliases;
+  aliasesOf(E, Aliases);
+  std::vector<LinearExpr> Forms = {E};
+  for (size_t I = 1; I < Aliases.size(); ++I)
+    Forms.push_back(formExpr(Aliases[I]));
   return Forms;
 }
 
@@ -535,18 +567,70 @@ std::vector<LinearExpr> ConstraintGraph::equivalentForms(
 
 namespace {
 
-/// Bound of (I, J) in a closed matrix seen through a union variable list,
-/// where \p Map holds each union variable's slot (or nullopt when the
-/// graph lacks it).
-std::int64_t boundThrough(const DbmStorage &M,
-                          const std::vector<std::optional<unsigned>> &Map,
-                          unsigned I, unsigned J) {
-  if (!Map[I] || !Map[J])
-    return I == J ? 0 : DbmInfinity;
-  return M.get(*Map[I], *Map[J]);
+/// Slot-map entry for a variable the graph lacks.
+constexpr unsigned NoSlot = static_cast<unsigned>(-1);
+
+/// Row \p I of \p M, or nullptr for NoSlot.
+const std::int64_t *rowOf(const DbmStorage &M, unsigned I) {
+  if (I == NoSlot)
+    return nullptr;
+  return M.rows() + static_cast<std::size_t>(I) * M.rowStride();
 }
 
+/// Bound (I, J) of a closed matrix seen through a slot map: \p Row is
+/// the mapped row of I (nullptr when the graph lacks I) and \p SJ the
+/// mapped slot of J. Missing variables are unconstrained.
+inline std::int64_t boundVia(const std::int64_t *Row, unsigned SJ,
+                             bool Diagonal) {
+  if (!Row || SJ == NoSlot)
+    return Diagonal ? 0 : DbmInfinity;
+  return Row[SJ];
+}
+
+/// O(1) VarId -> slot lookups for one variable list, through a per-thread
+/// buffer indexed by VarId that is cleared again on destruction. One live
+/// instance per thread at a time.
+class SlotLookup {
+public:
+  SlotLookup(const std::vector<VarId> &Vars, std::size_t TableSize)
+      : Vars(Vars), Buf(buffer()) {
+    if (Buf.size() < TableSize)
+      Buf.resize(TableSize, NoSlot);
+    for (unsigned I = 0; I < Vars.size(); ++I)
+      Buf[Vars[I]] = I;
+  }
+  ~SlotLookup() {
+    for (VarId V : Vars)
+      Buf[V] = NoSlot;
+  }
+  SlotLookup(const SlotLookup &) = delete;
+  SlotLookup &operator=(const SlotLookup &) = delete;
+
+  unsigned operator[](VarId Id) const {
+    return Id < Buf.size() ? Buf[Id] : NoSlot;
+  }
+
+private:
+  static std::vector<unsigned> &buffer() {
+    thread_local std::vector<unsigned> B;
+    return B;
+  }
+  const std::vector<VarId> &Vars;
+  std::vector<unsigned> &Buf;
+};
+
 } // namespace
+
+std::vector<VarId> ConstraintGraph::idsInMyTable(const ConstraintGraph &O)
+    const {
+  if (Syms == O.Syms)
+    return O.Vars;
+  std::vector<VarId> Ids;
+  Ids.reserve(O.Vars.size());
+  for (VarId Id : O.Vars)
+    Ids.push_back(Syms->intern(O.Syms->name(Id)));
+  return Ids;
+}
 
 void ConstraintGraph::joinWith(const ConstraintGraph &O) {
   if (!O.isFeasible())
@@ -558,36 +642,53 @@ void ConstraintGraph::joinWith(const ConstraintGraph &O) {
   close();
   O.close();
 
-  // Build the union variable list using this graph's slots, extending
-  // with O's extra variables (translated through names when the tables
-  // differ).
-  std::vector<VarId> UnionIds = Vars;
-  for (unsigned I = 1; I < O.Vars.size(); ++I) {
-    VarId Mine = Syms == O.Syms ? O.Vars[I]
-                                : Syms->intern(O.Syms->name(O.Vars[I]));
-    if (std::find(UnionIds.begin(), UnionIds.end(), Mine) == UnionIds.end())
-      UnionIds.push_back(Mine);
-  }
-
-  std::vector<std::optional<unsigned>> MapThis(UnionIds.size());
-  std::vector<std::optional<unsigned>> MapO(UnionIds.size());
-  for (unsigned U = 0; U < UnionIds.size(); ++U) {
-    MapThis[U] = slotOf(UnionIds[U]);
-    MapO[U] = O.slotForOther(*this, UnionIds[U]);
-  }
-
-  auto NewBlock = std::make_shared<DbmShared>();
-  DbmStorage &Joined = NewBlock->M;
-  Joined.resize(static_cast<unsigned>(UnionIds.size()));
   const DbmStorage &MThis = Cow.ro().M;
   const DbmStorage &MO = O.Cow.ro().M;
-  for (unsigned I = 0; I < UnionIds.size(); ++I)
-    for (unsigned J = 0; J < UnionIds.size(); ++J) {
-      std::int64_t A = boundThrough(MThis, MapThis, I, J);
-      std::int64_t B = boundThrough(MO, MapO, I, J);
-      Joined.set(I, J, std::max(A, B));
+  auto NewBlock = std::make_shared<DbmShared>();
+  DbmStorage &Joined = NewBlock->M;
+  if (Syms == O.Syms && Vars == O.Vars) {
+    // Same variables in the same slots: the row-wise max of the rows.
+    unsigned N = static_cast<unsigned>(Vars.size());
+    Joined.resize(N);
+    for (unsigned I = 0; I < N; ++I) {
+      const std::int64_t *A = rowOf(MThis, I);
+      const std::int64_t *B = rowOf(MO, I);
+      for (unsigned J = 0; J < N; ++J)
+        Joined.set(I, J, std::max(A[J], B[J]));
     }
-  Vars = std::move(UnionIds);
+  } else {
+    // The union variable list keeps this graph's slots, then appends O's
+    // extra variables in O's slot order.
+    std::vector<VarId> OIds = idsInMyTable(O);
+    std::vector<VarId> UnionIds = Vars;
+    std::vector<unsigned> MapThis(Vars.size()), MapO(Vars.size(), NoSlot);
+    for (unsigned I = 0; I < Vars.size(); ++I)
+      MapThis[I] = I;
+    {
+      SlotLookup Mine(Vars, Syms->size());
+      for (unsigned OI = 0; OI < OIds.size(); ++OI) {
+        unsigned U = Mine[OIds[OI]];
+        if (U != NoSlot) {
+          MapO[U] = OI;
+          continue;
+        }
+        UnionIds.push_back(OIds[OI]);
+        MapThis.push_back(NoSlot);
+        MapO.push_back(OI);
+      }
+    }
+    unsigned N = static_cast<unsigned>(UnionIds.size());
+    Joined.resize(N);
+    for (unsigned I = 0; I < N; ++I) {
+      const std::int64_t *A = rowOf(MThis, MapThis[I]);
+      const std::int64_t *B = rowOf(MO, MapO[I]);
+      for (unsigned J = 0; J < N; ++J)
+        Joined.set(I, J,
+                   std::max(boundVia(A, MapThis[J], I == J),
+                            boundVia(B, MapO[J], I == J)));
+    }
+    Vars = std::move(UnionIds);
+  }
   // Pointwise max of closed matrices is closed (and warm: later
   // tightenings should repair eagerly).
   NewBlock->Closed = true;
@@ -610,19 +711,24 @@ void ConstraintGraph::widenWith(const ConstraintGraph &O) {
   // else to infinity. Variables O lacks are unconstrained there, so their
   // bounds drop too.
   unsigned N = static_cast<unsigned>(Vars.size());
-  std::vector<std::optional<unsigned>> MapO(N);
-  for (unsigned I = 0; I < N; ++I)
-    MapO[I] = O.slotForOther(*this, Vars[I]);
+  std::vector<unsigned> MapO(N);
+  {
+    std::vector<VarId> OIds = idsInMyTable(O);
+    SlotLookup Theirs(OIds, Syms->size());
+    for (unsigned I = 0; I < N; ++I)
+      MapO[I] = Theirs[Vars[I]];
+  }
   DbmShared &B = mutableBlock();
   const DbmStorage &MO = O.Cow.ro().M;
   for (unsigned I = 0; I < N; ++I) {
+    const std::int64_t *RowO = rowOf(MO, MapO[I]);
     for (unsigned J = 0; J < N; ++J) {
       if (I == J)
         continue;
       std::int64_t Mine = B.M.get(I, J);
       if (Mine >= DbmInfinity)
         continue;
-      std::int64_t Theirs = boundThrough(MO, MapO, I, J);
+      std::int64_t Theirs = boundVia(RowO, MapO[J], false);
       if (Theirs <= Mine)
         continue;
       // Widen with thresholds: rather than dropping straight to infinity,
@@ -684,19 +790,34 @@ bool ConstraintGraph::implies(const ConstraintGraph &O) const {
     return false;
   close();
   O.close();
-  std::vector<std::optional<unsigned>> MapThis(O.Vars.size());
-  for (unsigned I = 0; I < O.Vars.size(); ++I)
-    MapThis[I] = slotForOther(O, O.Vars[I]);
   const DbmStorage &MThis = Cow.ro().M;
   const DbmStorage &MO = O.Cow.ro().M;
-  for (unsigned I = 0; I < O.Vars.size(); ++I) {
-    for (unsigned J = 0; J < O.Vars.size(); ++J) {
-      if (I == J)
+  unsigned ON = static_cast<unsigned>(O.Vars.size());
+  if (Syms == O.Syms && Vars == O.Vars) {
+    // Same variables in the same slots: compare the rows directly.
+    for (unsigned I = 0; I < ON; ++I) {
+      const std::int64_t *Mine = rowOf(MThis, I);
+      const std::int64_t *Theirs = rowOf(MO, I);
+      for (unsigned J = 0; J < ON; ++J)
+        if (J != I && Theirs[J] < DbmInfinity && Mine[J] > Theirs[J])
+          return false;
+    }
+    return true;
+  }
+  std::vector<VarId> OIds = idsInMyTable(O);
+  std::vector<unsigned> MapThis(ON);
+  {
+    SlotLookup Mine(Vars, Syms->size());
+    for (unsigned I = 0; I < ON; ++I)
+      MapThis[I] = Mine[OIds[I]];
+  }
+  for (unsigned I = 0; I < ON; ++I) {
+    const std::int64_t *Mine = rowOf(MThis, MapThis[I]);
+    const std::int64_t *Theirs = rowOf(MO, I);
+    for (unsigned J = 0; J < ON; ++J) {
+      if (I == J || Theirs[J] >= DbmInfinity)
         continue;
-      std::int64_t Theirs = MO.get(I, J);
-      if (Theirs >= DbmInfinity)
-        continue;
-      if (boundThrough(MThis, MapThis, I, J) > Theirs)
+      if (boundVia(Mine, MapThis[J], false) > Theirs[J])
         return false;
     }
   }

@@ -159,20 +159,25 @@ public:
   const SymbolTable &symbols() const { return *Syms; }
   const SymbolTablePtr &symbolsPtr() const { return Syms; }
 
-  /// Projects out every variable whose name satisfies \p Pred (the zero
+  /// Projects out every variable whose id satisfies \p Pred (the zero
   /// variable is never offered), after closing, so constraints implied
   /// through them survive. One closure, one detach and one matrix
   /// compaction per call; survivors keep their order.
-  void removeVarsIf(const std::function<bool(const std::string &)> &Pred);
+  void removeVarsIf(const std::function<bool(VarId)> &Pred);
 
   /// Removes \p Name; see removeVarsIf.
-  void removeVar(const std::string &Name) {
-    removeVarsIf([&](const std::string &Var) { return Var == Name; });
-  }
+  void removeVar(const std::string &Name);
 
-  /// Renames every variable via \p Rename (must stay injective).
-  void renameVars(const std::vector<std::pair<std::string, std::string>>
-                      &Renames);
+  /// Moves every variable of a renamed namespace to its sibling in the
+  /// target namespace, all pairs at once (so swaps and cycles need no
+  /// scratch names). Only the slot -> id map changes: the matrix, and any
+  /// sharing of it, is untouched.
+  void renameNamespaces(const NsRenaming &Renames);
+
+  /// Adds `To.x == From.x` for every variable `From.x` that \p Keep
+  /// accepts, in slot order, appending each sibling `To.x` that is new.
+  void equateNamespace(NsId From, NsId To,
+                       const std::function<bool(VarId)> &Keep);
 
   //===--------------------------------------------------------------------===
   // Constraints and transfer
@@ -246,9 +251,24 @@ public:
   /// If \p Var is pinned to a single value, returns it.
   std::optional<std::int64_t> constValue(const std::string &Var) const;
 
+  /// One `var + c` form by id: the variable (InvalidVarId for a
+  /// constant) and the offset.
+  struct IdForm {
+    VarId Id = InvalidVarId;
+    std::int64_t C = 0;
+    bool operator==(const IdForm &O) const { return Id == O.Id && C == O.C; }
+  };
+
+  /// Appends to \p Out every form provably equal to \p E (E itself
+  /// first), read off one row pair of the closed matrix. Ids index this
+  /// graph's table; E's variable is interned if new.
+  void aliasesOf(const LinearExpr &E, std::vector<IdForm> &Out) const;
+
+  /// The LinearExpr spelling of \p F.
+  LinearExpr formExpr(const IdForm &F) const;
+
   /// All `var + c` forms provably equal to \p E (including E itself),
-  /// restricted to existing variables. Used to find alternative
-  /// representations of process-set bounds during widening.
+  /// restricted to existing variables: aliasesOf, spelled as LinearExprs.
   std::vector<LinearExpr> equivalentForms(const LinearExpr &E) const;
 
   //===--------------------------------------------------------------------===
@@ -306,10 +326,9 @@ private:
   /// needed.
   unsigned ensureSlot(VarId Id);
 
-  /// Resolves the slot of \p O's variable \p Id in *this* graph, mapping
-  /// through names when the two graphs use different symbol tables.
-  std::optional<unsigned> slotForOther(const ConstraintGraph &O,
-                                       VarId Id) const;
+  /// \p O's slot -> id map with the ids translated into this graph's
+  /// table (a copy of O.Vars when the graphs share one).
+  std::vector<VarId> idsInMyTable(const ConstraintGraph &O) const;
 
   /// Slot + offset encoding of a LinearExpr (constants -> zero slot).
   std::pair<unsigned, std::int64_t> encode(const LinearExpr &E);

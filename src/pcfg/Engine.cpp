@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -314,15 +313,14 @@ private:
     }
 
     // Garbage-collect freeze variables of consumed pendings.
-    std::set<std::string, std::less<>> LiveNs;
+    SymbolTable &Syms = *St.Cg.symbolsPtr();
+    std::vector<NsId> LiveNs;
     for (const PendingSend &P : St.InFlight)
-      LiveNs.insert(P.FreezeNs);
-    St.Cg.removeVarsIf([&](const std::string &Var) {
-      size_t Dot = Var.find('.');
-      if (Dot == std::string::npos || Dot == 0)
-        return false;
-      std::string_view Ns(Var.data(), Dot);
-      return (Ns[0] == 'q' || Ns.rfind("tmpq$", 0) == 0) && !LiveNs.count(Ns);
+      LiveNs.push_back(Syms.internNs(P.FreezeNs));
+    St.Cg.removeVarsIf([&](VarId Var) {
+      NsId Ns = Syms.nsOf(Var);
+      return Ns != NoNs && Syms.nsName(Ns)[0] == 'q' &&
+             std::find(LiveNs.begin(), LiveNs.end(), Ns) == LiveNs.end();
     });
 
     St.canonicalize();
@@ -337,19 +335,20 @@ private:
 
     // Uniformity: a variable stays uniform only when uniform on both
     // sides and provably equal across the halves.
+    SymbolTable &Syms = *St.Cg.symbolsPtr();
+    NsId NsA = Syms.internNs(A.Name), NsB = Syms.internNs(B.Name);
+    NsId NsNew = Syms.internNs(NewName), NsMrg = Syms.internNs("mrg$");
     std::set<std::string> NonUniform = A.NonUniform;
     NonUniform.insert(B.NonUniform.begin(), B.NonUniform.end());
-    std::set<std::string> VarsSeen;
-    for (const std::string &Var : St.Cg.varNames()) {
-      std::string PrefixA = A.Name + ".";
-      if (Var.rfind(PrefixA, 0) != 0)
+    for (VarId Var : St.Cg.varIds()) {
+      if (Syms.nsOf(Var) != NsA)
         continue;
-      std::string Base = Var.substr(PrefixA.size());
-      if (Base.find('$') != std::string::npos)
+      const std::string &Name = Syms.name(Var);
+      if (Name.find('$') != std::string::npos)
         continue; // Anchor slots are per-set metadata.
-      VarsSeen.insert(Base);
-      LinearExpr VA(A.Name + "." + Base, 0);
-      LinearExpr VB(B.Name + "." + Base, 0);
+      std::string Base = Name.substr(A.Name.size() + 1);
+      LinearExpr VA(Name, 0);
+      LinearExpr VB(Syms.name(Syms.inNamespace(Var, NsB)), 0);
       if (!NonUniform.count(Base) && !St.Cg.provesEQ(VA, VB))
         NonUniform.insert(Base);
     }
@@ -363,19 +362,18 @@ private:
 
     ConstraintGraph CgA = St.Cg;
     ConstraintGraph CgB = St.Cg;
-    renameNsIn(CgA, A.Name, NewName);
-    renameNsIn(CgB, B.Name, NewName);
+    CgA.renameNamespaces({{NsA, NsNew}});
+    CgB.renameNamespaces({{NsB, NsNew}});
     CgA.joinWith(CgB);
     St.Cg = std::move(CgA);
     // A's anchor slots (lo$/ub$) were renamed into NewName by the join
     // but describe A's old extent; drop them before the merged anchors
     // take those names.
-    std::string NewPrefix = NewName + ".";
-    St.Cg.removeVarsIf([&](const std::string &Var) {
-      return Var.rfind(NewPrefix, 0) == 0 &&
-             Var.find('$') != std::string::npos;
+    St.Cg.removeVarsIf([&](VarId Var) {
+      return Syms.nsOf(Var) == NsNew &&
+             Syms.name(Var).find('$') != std::string::npos;
     });
-    renameNsIn(St.Cg, "mrg$", NewName);
+    St.Cg.renameNamespaces({{NsMrg, NsNew}});
     Anchored = Anchored.withRenamedVars([&](const std::string &Var) {
       if (Var.rfind("mrg$.", 0) == 0)
         return NewName + "." + Var.substr(5);
@@ -390,9 +388,9 @@ private:
 
     // Remove stale namespaces (B's vars survived in CgA, A's in CgB; both
     // partially; clean them).
-    std::string PrefixA = A.Name + ".", PrefixB = B.Name + ".";
-    St.Cg.removeVarsIf([&](const std::string &Var) {
-      return Var.rfind(PrefixA, 0) == 0 || Var.rfind(PrefixB, 0) == 0;
+    St.Cg.removeVarsIf([&](VarId Var) {
+      NsId Ns = Syms.nsOf(Var);
+      return Ns == NsA || Ns == NsB;
     });
 
     // Erase J first (higher index), then replace I.
@@ -400,14 +398,18 @@ private:
     St.Sets[I] = std::move(Combined2);
   }
 
-  static void renameNsIn(ConstraintGraph &Cg, const std::string &FromNs,
-                         const std::string &ToNs) {
-    std::vector<std::pair<std::string, std::string>> Renames;
-    std::string Prefix = FromNs + ".";
-    for (const std::string &Var : Cg.varNames())
-      if (Var.rfind(Prefix, 0) == 0)
-        Renames.emplace_back(Var, ToNs + "." + Var.substr(Prefix.size()));
-    Cg.renameVars(Renames);
+  /// Equates every variable of namespace \p From with its sibling in
+  /// namespace \p To (created as needed), in slot order; with
+  /// \p SkipAnchors, `$` slots (per-set anchor metadata) are left out.
+  static void copyNamespace(ConstraintGraph &Cg, const std::string &From,
+                            const std::string &To, bool SkipAnchors) {
+    SymbolTable &Syms = *Cg.symbolsPtr();
+    auto FromNs = Syms.lookupNs(From);
+    if (!FromNs)
+      return;
+    Cg.equateNamespace(*FromNs, Syms.internNs(To), [&](VarId Var) {
+      return !SkipAnchors || Syms.name(Var).find('$') == std::string::npos;
+    });
   }
 
   /// Reduces a range bound to one *stable* form. Stored bounds must never
@@ -451,16 +453,7 @@ private:
       // agree with the parent exactly. The parent's `lo$`/`ub$` anchor
       // slots are per-set metadata, not program state — copying them
       // would contradict the piece's own freshly assigned anchors.
-      std::string OldPrefix = Old.Name + ".";
-      for (const std::string &Var : St.Cg.varNames()) {
-        if (Var.rfind(OldPrefix, 0) != 0)
-          continue;
-        std::string Base = Var.substr(OldPrefix.size());
-        if (Base.find('$') != std::string::npos)
-          continue;
-        St.Cg.addEQ(LinearExpr(E.Name + "." + Base, 0),
-                    LinearExpr(Var, 0));
-      }
+      copyNamespace(St.Cg, Old.Name, E.Name, /*SkipAnchors=*/true);
       NewIndices.push_back(St.Sets.size());
       St.Sets.push_back(std::move(E));
     }
@@ -1431,14 +1424,8 @@ private:
           Piece.Seq = St.NextSeq++;
           Piece.FreezeNs = "q" + std::to_string(Piece.Seq);
           std::string OldPrefix = Old.FreezeNs + ".";
-          for (const std::string &Var : St.Cg.varNames()) {
-            if (Var.rfind(OldPrefix, 0) != 0)
-              continue;
-            St.Cg.addEQ(LinearExpr(Piece.FreezeNs + "." +
-                                       Var.substr(OldPrefix.size()),
-                                   0),
-                        LinearExpr(Var, 0));
-          }
+          copyNamespace(St.Cg, Old.FreezeNs, Piece.FreezeNs,
+                        /*SkipAnchors=*/false);
           auto Retarget = [&](std::optional<LinearExpr> &L) {
             if (L && L->hasVar() && L->var().rfind(OldPrefix, 0) == 0)
               L = LinearExpr(Piece.FreezeNs + "." +
@@ -1473,14 +1460,8 @@ private:
           Piece.Seq = St.NextSeq++;
           Piece.FreezeNs = "q" + std::to_string(Piece.Seq);
           std::string OldPrefix = Old.FreezeNs + ".";
-          for (const std::string &Var : St.Cg.varNames()) {
-            if (Var.rfind(OldPrefix, 0) != 0)
-              continue;
-            St.Cg.addEQ(
-                LinearExpr(Piece.FreezeNs + "." + Var.substr(OldPrefix.size()),
-                           0),
-                LinearExpr(Var, 0));
-          }
+          copyNamespace(St.Cg, Old.FreezeNs, Piece.FreezeNs,
+                        /*SkipAnchors=*/false);
           auto Retarget = [&](std::optional<LinearExpr> &L) {
             if (L && L->hasVar() && L->var().rfind(OldPrefix, 0) == 0)
               L = LinearExpr(Piece.FreezeNs + "." +
@@ -1506,8 +1487,11 @@ private:
 
     // Collect the scratch anchors; relations they mediated are preserved
     // by the closure.
-    St.Cg.removeVarsIf(
-        [](const std::string &Var) { return Var.rfind("mt$", 0) == 0; });
+    const SymbolTable &Syms = St.Cg.symbols();
+    St.Cg.removeVarsIf([&](VarId Var) {
+      NsId Ns = Syms.nsOf(Var);
+      return Ns != NoNs && Syms.nsName(Ns).rfind("mt$", 0) == 0;
+    });
 
     submit(std::move(St));
   }

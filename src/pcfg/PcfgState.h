@@ -130,9 +130,10 @@ public:
   /// Renames set \p Idx's namespace to \p NewName (variables included).
   void renameSet(size_t Idx, const std::string &NewName);
 
-  /// Renames every variable with prefix `<FromNs>.` to `<ToNs>.` across
-  /// the constraint graph, ranges and pending sends.
-  void renameNamespace(const std::string &FromNs, const std::string &ToNs);
+  /// Applies \p Renames (all pairs at once) to every variable across the
+  /// constraint graph, ranges and pending sends. Set names and freeze
+  /// namespaces are the caller's to update.
+  void renameNamespaces(const NsRenaming &Renames);
 
   /// Drops all constraint-graph variables in \p Set's namespace.
   void dropSetVars(const ProcSetEntry &Set);

@@ -188,16 +188,50 @@ std::optional<ProcRange> csdf::tryIntersect(const ProcRange &A,
   return ProcRange(Lo, Hi);
 }
 
+namespace {
+
+using IdForm = ConstraintGraph::IdForm;
+
+/// Every form of \p B together with its aliases under \p G, as ids of
+/// G's table (duplicates kept; the classes are a handful of forms).
+std::vector<IdForm> aliasClass(const SymBound &B, const ConstraintGraph &G) {
+  std::vector<IdForm> Class;
+  for (const LinearExpr &F : B.forms())
+    G.aliasesOf(F, Class);
+  return Class;
+}
+
+/// The forms of \p OldB's alias class under \p OldG that are also in
+/// \p NewB's class under \p NewG, spelled as LinearExprs only once they
+/// survive. Ids of the new graph are translated into the old graph's
+/// table when the two differ.
+std::optional<SymBound> commonForms(const SymBound &OldB,
+                                    const ConstraintGraph &OldG,
+                                    const SymBound &NewB,
+                                    const ConstraintGraph &NewG) {
+  std::vector<IdForm> Old = aliasClass(OldB, OldG);
+  std::vector<IdForm> New = aliasClass(NewB, NewG);
+  if (&OldG.symbols() != &NewG.symbols())
+    for (IdForm &F : New)
+      if (F.Id != InvalidVarId)
+        F.Id = OldG.symbolsPtr()->intern(NewG.symbols().name(F.Id));
+  std::vector<LinearExpr> Common;
+  for (const IdForm &F : Old)
+    if (std::find(New.begin(), New.end(), F) != New.end())
+      Common.push_back(OldG.formExpr(F));
+  if (Common.empty())
+    return std::nullopt;
+  return SymBound(std::move(Common));
+}
+
+} // namespace
+
 std::optional<ProcRange> csdf::widenRange(const ProcRange &OldR,
                                           const ConstraintGraph &OldG,
                                           const ProcRange &NewR,
                                           const ConstraintGraph &NewG) {
-  ProcRange A = OldR;
-  A.enrich(OldG);
-  ProcRange B = NewR;
-  B.enrich(NewG);
-  auto Lb = A.lb().intersectForms(B.lb());
-  auto Ub = A.ub().intersectForms(B.ub());
+  auto Lb = commonForms(OldR.lb(), OldG, NewR.lb(), NewG);
+  auto Ub = commonForms(OldR.ub(), OldG, NewR.ub(), NewG);
   if (!Lb || !Ub)
     return std::nullopt;
   return ProcRange(*Lb, *Ub);

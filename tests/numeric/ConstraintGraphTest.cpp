@@ -238,19 +238,26 @@ TEST_F(ConstraintGraphTest, EquivalentFormsFindsAliases) {
 
 TEST_F(ConstraintGraphTest, RenameVars) {
   ConstraintGraph G = make();
-  G.assign("x", LinearExpr(4));
-  G.renameVars({{"x", "z"}});
-  EXPECT_FALSE(G.hasVar("x"));
-  EXPECT_EQ(G.constValue("z"), 4);
+  G.assign("s.x", LinearExpr(4));
+  G.assign("y", LinearExpr(1));
+  SymbolTable &Syms = *G.symbolsPtr();
+  G.renameNamespaces({{Syms.internNs("s"), Syms.internNs("t")}});
+  EXPECT_FALSE(G.hasVar("s.x"));
+  EXPECT_EQ(G.constValue("t.x"), 4);
+  EXPECT_EQ(G.constValue("y"), 1) << "names without a namespace stay";
 }
 
 TEST_F(ConstraintGraphTest, SwapRename) {
   ConstraintGraph G = make();
-  G.assign("a", LinearExpr(1));
-  G.assign("b", LinearExpr(2));
-  G.renameVars({{"a", "b"}, {"b", "a"}});
-  EXPECT_EQ(G.constValue("a"), 2);
-  EXPECT_EQ(G.constValue("b"), 1);
+  G.assign("a.v", LinearExpr(1));
+  G.assign("b.v", LinearExpr(2));
+  G.addLE(LinearExpr("a.v", 0), LinearExpr("b.v", -1));
+  SymbolTable &Syms = *G.symbolsPtr();
+  NsId A = Syms.internNs("a"), B = Syms.internNs("b");
+  G.renameNamespaces({{A, B}, {B, A}});
+  EXPECT_EQ(G.constValue("a.v"), 2);
+  EXPECT_EQ(G.constValue("b.v"), 1);
+  EXPECT_TRUE(G.provesLE(LinearExpr("b.v", 0), LinearExpr("a.v", -1)));
 }
 
 TEST_F(ConstraintGraphTest, StrMentionsConstraints) {

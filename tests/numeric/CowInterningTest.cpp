@@ -1,9 +1,10 @@
 //===- tests/numeric/CowInterningTest.cpp - COW / interning / memo tests -------===//
 //
 // Tests for the interned-variable, copy-on-write numeric core: SymbolTable
-// id stability, CowDbm sharing and detach semantics, closure-memo hits,
-// and property-style checks that removeVar / removeVarsIf / renameVars /
-// equivalentForms preserve the closed form.
+// id stability and namespace ids, CowDbm sharing and detach semantics,
+// closure-memo hits, and property-style checks that removeVar /
+// removeVarsIf / renameNamespaces / equivalentForms preserve the closed
+// form.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +48,82 @@ TEST(SymbolTableTest, IdsSurviveLaterInterning) {
     T.intern("v" + std::to_string(I));
   EXPECT_EQ(T.intern("a"), First);
   EXPECT_EQ(T.name(First), "a");
+}
+
+TEST(SymbolTableTest, SplitsNamesAtTheFirstDot) {
+  SymbolTable T;
+  VarId I = T.intern("p0.i");
+  VarId Nested = T.intern("p0.q3.x");
+  VarId Bare = T.intern("np");
+  VarId Leading = T.intern(".x");
+  NsId P0 = T.internNs("p0");
+  EXPECT_EQ(T.nsOf(I), P0);
+  EXPECT_EQ(T.nsOf(Nested), P0);
+  EXPECT_EQ(T.nsName(P0), "p0");
+  EXPECT_EQ(T.nsOf(Bare), NoNs);
+  EXPECT_EQ(T.nsOf(Leading), NoNs);
+  EXPECT_EQ(T.lookupNs("p0"), P0);
+  EXPECT_FALSE(T.lookupNs("q3").has_value())
+      << "only the first component is a namespace";
+}
+
+TEST(SymbolTableTest, InNamespaceFindsOrCreatesTheSibling) {
+  SymbolTable T;
+  VarId I0 = T.intern("p0.i");
+  VarId I1 = T.intern("p1.i");
+  NsId P1 = T.internNs("p1"), P2 = T.internNs("p2");
+  EXPECT_EQ(T.inNamespace(I0, P1), I1);
+  EXPECT_EQ(T.inNamespace(I0, T.nsOf(I0)), I0);
+  std::size_t Before = T.size();
+  VarId I2 = T.inNamespace(I0, P2);
+  EXPECT_EQ(T.size(), Before + 1);
+  EXPECT_EQ(T.name(I2), "p2.i");
+  EXPECT_EQ(T.nsOf(I2), P2);
+  // Memoized: the second request creates nothing and agrees with intern.
+  EXPECT_EQ(T.inNamespace(I0, P2), I2);
+  EXPECT_EQ(T.size(), Before + 1);
+  EXPECT_EQ(T.intern("p2.i"), I2);
+  // The local part after the first dot is kept whole.
+  VarId Nested = T.intern("p0.q3.x");
+  EXPECT_EQ(T.name(T.inNamespace(Nested, P1)), "p1.q3.x");
+  // Names without a namespace have no sibling.
+  VarId Np = T.intern("np");
+  EXPECT_EQ(T.inNamespace(Np, P1), Np);
+}
+
+TEST(SymbolTableTest, RenameNamespacesRemapsIdsWithoutCopying) {
+  StatsRegistry Stats;
+  auto Syms = std::make_shared<SymbolTable>();
+  ConstraintGraph G(&Stats, Syms);
+  G.assign("p0.i", LinearExpr(1));
+  G.assign("p1.i", LinearExpr(2));
+  G.assign("p2.i", LinearExpr(3));
+  G.addUpperBound("np", 9);
+  ASSERT_TRUE(G.isFeasible());
+  ConstraintGraph Copy = G;
+  std::vector<std::string> SlotsBefore = G.varNames();
+  NsId P0 = Syms->internNs("p0"), P1 = Syms->internNs("p1"),
+       P2 = Syms->internNs("p2");
+  // A 3-cycle p0 -> p1 -> p2 -> p0, applied at once.
+  G.renameNamespaces({{P0, P1}, {P1, P2}, {P2, P0}});
+  EXPECT_TRUE(G.sharesStorage());
+  EXPECT_EQ(Stats.counter("cg.cow.detaches"), 0);
+  EXPECT_EQ(G.constValue("p1.i"), 1);
+  EXPECT_EQ(G.constValue("p2.i"), 2);
+  EXPECT_EQ(G.constValue("p0.i"), 3);
+  EXPECT_TRUE(G.provesLE(LinearExpr("np", 0), LinearExpr(9)));
+  // Slots keep their positions; only the names behind them moved.
+  std::vector<std::string> SlotsAfter = G.varNames();
+  ASSERT_EQ(SlotsAfter.size(), SlotsBefore.size());
+  EXPECT_EQ(SlotsAfter[0], "p1.i");
+  EXPECT_EQ(SlotsAfter[1], "p2.i");
+  EXPECT_EQ(SlotsAfter[2], "p0.i");
+  EXPECT_EQ(SlotsAfter[3], "np");
+  // The copy is untouched.
+  EXPECT_EQ(Copy.constValue("p0.i"), 1);
+  // The empty renaming is a no-op.
+  G.renameNamespaces({});
+  EXPECT_EQ(G.varNames(), SlotsAfter);
 }
 
 TEST(SymbolTableTest, GraphsShareOneTable) {
@@ -282,7 +359,8 @@ TEST_F(ClosedFormPropertyTest, RemoveVarsIfPreservesRemainingBounds) {
     ConstraintGraph G = randomGraph(7, Seed);
     ASSERT_TRUE(G.isFeasible());
     ConstraintGraph Before = G;
-    G.removeVarsIf([&](const std::string &Var) {
+    G.removeVarsIf([&](VarId Id) {
+      const std::string &Var = G.symbols().name(Id);
       for (unsigned I = 0; I < 7; ++I)
         if (Dropped(I) && Var == name(I))
           return true;
@@ -302,20 +380,35 @@ TEST_F(ClosedFormPropertyTest, RemoveVarsIfPreservesRemainingBounds) {
 }
 
 TEST_F(ClosedFormPropertyTest, RenameVarsPreservesBoundsUnderNewNames) {
+  // The variables live in namespaces a.* and b.*; swapping the two
+  // namespaces renames every variable at once.
+  auto Scoped = [](const char *Ns, unsigned I) {
+    return std::string(Ns) + ".v" + std::to_string(I);
+  };
+  auto NsOf = [](unsigned I) { return I % 2 ? "b" : "a"; };
   for (std::uint64_t Seed = 1; Seed <= 5; ++Seed) {
-    ConstraintGraph G = randomGraph(5, Seed);
-    ConstraintGraph Before = G;
-    std::vector<std::pair<std::string, std::string>> Renames;
+    ConstraintGraph G(&Stats);
+    std::uint64_t State = Seed * 0x9E3779B97F4A7C15ull;
     for (unsigned I = 0; I < 5; ++I)
-      Renames.emplace_back(name(I), "w" + std::to_string(I));
-    G.renameVars(Renames);
+      for (unsigned J = 0; J < 5; ++J) {
+        State = State * 6364136223846793005ull + 1442695040888963407ull;
+        if (I != J)
+          G.addLE(Scoped(NsOf(I), I), Scoped(NsOf(J), J),
+                  static_cast<std::int64_t>((State >> 33) % 17));
+      }
+    ConstraintGraph Before = G;
+    SymbolTable &Syms = *G.symbolsPtr();
+    NsId A = Syms.internNs("a"), B = Syms.internNs("b");
+    G.renameNamespaces({{A, B}, {B, A}});
+    EXPECT_TRUE(G.sharesStorage()) << "a rename must not copy the matrix";
     for (unsigned I = 0; I < 5; ++I) {
       for (unsigned J = 0; J < 5; ++J) {
         if (I == J)
           continue;
-        EXPECT_EQ(G.bestBound("w" + std::to_string(I),
-                              "w" + std::to_string(J)),
-                  Before.bestBound(name(I), name(J)))
+        const char *SwappedI = NsOf(I)[0] == 'a' ? "b" : "a";
+        const char *SwappedJ = NsOf(J)[0] == 'a' ? "b" : "a";
+        EXPECT_EQ(G.bestBound(Scoped(SwappedI, I), Scoped(SwappedJ, J)),
+                  Before.bestBound(Scoped(NsOf(I), I), Scoped(NsOf(J), J)))
             << "seed " << Seed;
       }
     }

@@ -214,7 +214,8 @@ TEST_P(DbmPropertyTest, RemoveVarsIfPreservesOtherEntailments) {
     if (!A.isFeasible())
       continue;
     ConstraintGraph P = A;
-    P.removeVarsIf([](const std::string &Var) {
+    P.removeVarsIf([&](VarId Id) {
+      const std::string &Var = P.symbols().name(Id);
       return Var == varName(1) || Var == varName(3) || Var == varName(4);
     });
     for (int X : {0, 2, 5, 6})

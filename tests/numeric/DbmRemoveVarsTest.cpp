@@ -292,7 +292,8 @@ TEST_F(RemoveVarsIfTest, MatchesOneAtATimeRemoval) {
       ConstraintGraph Sibling = G;
       auto Dropped = [&](unsigned I) { return I % Stride == 0; };
 
-      G.removeVarsIf([&](const std::string &Var) {
+      G.removeVarsIf([&](VarId Id) {
+        const std::string &Var = G.symbols().name(Id);
         return Dropped(static_cast<unsigned>(std::stoul(Var.substr(1))));
       });
       for (unsigned I = 0; I < N; ++I)
@@ -320,7 +321,8 @@ TEST_F(RemoveVarsIfTest, ProjectionStaysClosedAndFeasible) {
   std::mt19937 Rng(2468);
   ConstraintGraph G = randomGraph(Rng, 12);
   ASSERT_TRUE(G.isFeasible());
-  G.removeVarsIf([](const std::string &Var) { return Var.size() > 2; });
+  G.removeVarsIf(
+      [&](VarId Id) { return G.symbols().name(Id).size() > 2; });
   auto Closures = [&] {
     return Stats.counter("cg.closure.full.calls") +
            Stats.counter("cg.closure.incr.calls");
@@ -339,7 +341,7 @@ TEST_F(RemoveVarsIfTest, NoMatchLeavesGraphShared) {
   ConstraintGraph G = randomGraph(Rng, 5);
   ConstraintGraph Copy = G;
   ASSERT_TRUE(G.sharesStorage());
-  G.removeVarsIf([](const std::string &) { return false; });
+  G.removeVarsIf([](VarId) { return false; });
   EXPECT_TRUE(G.sharesStorage());
   EXPECT_EQ(G.varNames(), Copy.varNames());
 }
@@ -349,8 +351,8 @@ TEST_F(RemoveVarsIfTest, ZeroVariableIsNeverOffered) {
   G.addUpperBound("x", 3);
   G.addLowerBound("x", 3);
   std::vector<std::string> Offered;
-  G.removeVarsIf([&](const std::string &Var) {
-    Offered.push_back(Var);
+  G.removeVarsIf([&](VarId Id) {
+    Offered.push_back(G.symbols().name(Id));
     return false;
   });
   EXPECT_EQ(Offered, std::vector<std::string>{"x"});

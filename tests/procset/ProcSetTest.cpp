@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 using namespace csdf;
 
 namespace {
@@ -202,6 +204,94 @@ TEST_F(ProcSetTest, WideningFailsWithoutCommonForm) {
   ProcRange Old(LinearExpr(1), LinearExpr(1));
   ProcRange New(LinearExpr(1), LinearExpr(2));
   EXPECT_FALSE(widenRange(Old, G1, New, G2).has_value());
+}
+
+/// The paper's widening spelled out over LinearExprs: enrich both ranges
+/// through their graphs, then keep the common forms.
+std::optional<ProcRange> enrichThenIntersect(const ProcRange &OldR,
+                                             const ConstraintGraph &OldG,
+                                             const ProcRange &NewR,
+                                             const ConstraintGraph &NewG) {
+  ProcRange A = OldR;
+  A.enrich(OldG);
+  ProcRange B = NewR;
+  B.enrich(NewG);
+  auto Lb = A.lb().intersectForms(B.lb());
+  auto Ub = A.ub().intersectForms(B.ub());
+  if (!Lb || !Ub)
+    return std::nullopt;
+  return ProcRange(*Lb, *Ub);
+}
+
+TEST(ProcSetWidenTest, MatchesEnrichThenIntersectOnRandomGraphs) {
+  std::mt19937 Rng(77);
+  auto Pick = [&](unsigned N) { return static_cast<unsigned>(Rng() % N); };
+  const std::vector<std::string> Vars = {"np", "p0.i", "p0.lo$", "p1.i",
+                                         "q0.lo", "k"};
+  auto RandomForm = [&] {
+    if (Pick(3) == 0)
+      return LinearExpr(static_cast<std::int64_t>(Pick(5)));
+    return LinearExpr(Vars[Pick(Vars.size())],
+                      static_cast<std::int64_t>(Pick(5)) - 2);
+  };
+  using Constraint = std::pair<LinearExpr, LinearExpr>;
+  auto RandomConstraints = [&](unsigned N) {
+    std::vector<Constraint> Cs;
+    for (unsigned E = 0; E < N; ++E)
+      Cs.emplace_back(LinearExpr(Vars[Pick(Vars.size())], 0), RandomForm());
+    return Cs;
+  };
+  auto RandomGraph = [&](ConstraintGraph G,
+                         const std::vector<Constraint> &Common) {
+    // Equalities make aliases; a few inequalities make near misses.
+    for (const auto &[A, B] : Common)
+      G.addEQ(A, B);
+    for (const auto &[A, B] : RandomConstraints(Pick(3))) {
+      if (Pick(3) == 0)
+        G.addLE(A, B);
+      else
+        G.addEQ(A, B);
+    }
+    return G;
+  };
+  auto RandomBound = [&] {
+    SymBound B(RandomForm());
+    if (Pick(3) == 0)
+      B.addForm(RandomForm());
+    return B;
+  };
+  unsigned Agreed = 0;
+  for (int Trial = 0; Trial < 400; ++Trial) {
+    SCOPED_TRACE("trial " + std::to_string(Trial));
+    // Half the trials share one table (as every graph of an analysis run
+    // does); the rest give each graph its own.
+    auto Shared = std::make_shared<SymbolTable>();
+    bool SameTable = Trial % 2 == 0;
+    // Both graphs share some equalities, so some aliases survive.
+    std::vector<Constraint> Common = RandomConstraints(Pick(4));
+    ConstraintGraph OldG = RandomGraph(
+        ConstraintGraph(&StatsRegistry::global(),
+                        SameTable ? Shared : nullptr),
+        Common);
+    ConstraintGraph NewG = RandomGraph(
+        ConstraintGraph(&StatsRegistry::global(),
+                        SameTable ? Shared : nullptr),
+        Common);
+    ProcRange OldR(RandomBound(), RandomBound());
+    ProcRange NewR = Pick(2) ? OldR : ProcRange(RandomBound(), RandomBound());
+    auto Want = enrichThenIntersect(OldR, OldG, NewR, NewG);
+    auto Got = widenRange(OldR, OldG, NewR, NewG);
+    ASSERT_EQ(Got.has_value(), Want.has_value());
+    if (!Got)
+      continue;
+    EXPECT_EQ(Got->str(), Want->str());
+    EXPECT_EQ(Got->lb().primary(), Want->lb().primary());
+    EXPECT_EQ(Got->ub().primary(), Want->ub().primary());
+    ++Agreed;
+  }
+  // The generator must exercise the surviving-forms path, not only the
+  // failures.
+  EXPECT_GT(Agreed, 40u);
 }
 
 TEST_F(ProcSetTest, BoundStrFormats) {
